@@ -1,7 +1,8 @@
-"""Build script: compiles the optional bitset kernel extension.
+"""Build script: compiles the optional bitset kernel library.
 
-If Cython or a C compiler is unavailable the build falls back to a
-pure-Python install; spectough._kernels selects the reference
+bitset.c builds into a shared library that spectough._kernels loads
+with ctypes.  If no C compiler is available the build falls back to a
+pure-Python install; spectough._kernels then selects the reference
 implementation at import time.
 """
 
@@ -27,21 +28,8 @@ class OptionalBuildExt(build_ext):
                   "using pure-Python fallback")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [
-            Extension(
-                "spectough._kernels._fast",
-                ["src/spectough/_kernels/_fast.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
+KERNELS = Extension("spectough._kernels._bitset",
+                    ["src/spectough/_kernels/bitset.c"],
+                    extra_compile_args=["-O3"])
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[KERNELS], cmdclass={"build_ext": OptionalBuildExt})

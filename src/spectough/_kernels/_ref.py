@@ -1,4 +1,4 @@
-"""Pure-Python kernels: bit-for-bit reference for the compiled extension.
+"""Pure-Python kernels: bit-for-bit reference for the C kernels in bitset.c.
 
 Both backends must return identical results; tests cross-check them.
 Subsets are enumerated by increasing size and, within a size, in
@@ -7,6 +7,8 @@ improvement wins" yields the documented deterministic tie-break.
 """
 
 from __future__ import annotations
+
+from ..graphs import iter_bits
 
 BACKEND_NAME = "pure"
 
@@ -73,7 +75,7 @@ def hamilton_cycle(n: int, adj: tuple[int, ...]) -> bool:
     def feasible(current: int, visited: int) -> bool:
         rest = full & ~visited
         # every unvisited vertex still needs two usable incidences
-        for u in _bits(rest):
+        for u in iter_bits(rest):
             avail = adj[u] & (rest | (1 << current) | 1)
             if avail.bit_count() < 2:
                 return False
@@ -95,16 +97,10 @@ def hamilton_cycle(n: int, adj: tuple[int, ...]) -> bool:
         if not feasible(v, visited):
             return False
         cand = adj[v] & ~visited
-        for u in _bits(cand):
+        for u in iter_bits(cand):
             if extend(u, visited | (1 << u)):
                 return True
         return False
 
     return extend(0, 1)
 
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -13,7 +13,9 @@ import sys
 from . import scan as scanmod
 from .errors import CapacityError, Graph6Error
 from .families import generate_family
-from .graphs import parse_graph6, write_graph6
+from .graphs import parse_graph6, read_graph6_lines, write_graph6
+from .structures import DEFAULT_ORACLE_CAP
+from .toughness import DEFAULT_TOUGHNESS_CAP
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -22,10 +24,12 @@ EXIT_INTERNAL = 3
 
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap-toughness", type=int, default=14,
-                   help="max n for the exact toughness search (default 14)")
-    p.add_argument("--cap-oracle", type=int, default=16,
-                   help="max n for combinatorial oracles (default 16)")
+    p.add_argument("--cap-toughness", type=int, default=DEFAULT_TOUGHNESS_CAP,
+                   help="max n for the exact toughness search "
+                        f"(default {DEFAULT_TOUGHNESS_CAP})")
+    p.add_argument("--cap-oracle", type=int, default=DEFAULT_ORACLE_CAP,
+                   help="max n for combinatorial oracles "
+                        f"(default {DEFAULT_ORACLE_CAP})")
     p.add_argument("--no-toughness", action="store_true",
                    help="skip the exponential toughness search and slacks")
 
@@ -172,10 +176,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             if "/" in spec or spec.endswith(".g6") or spec.startswith("file:"):
                 path = spec.removeprefix("file:")
                 with open(path) as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line and not line.startswith("#"):
-                            graphs.append((line, parse_graph6(line)))
+                    for line in read_graph6_lines(fh):
+                        graphs.append((line, parse_graph6(line)))
             else:
                 for g in generate_family(spec, seed=args.seed, count=args.count):
                     graphs.append((write_graph6(g), g))

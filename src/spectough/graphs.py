@@ -149,7 +149,11 @@ def parse_graph6(text: str, cap: int = GRAPH6_MAX_N) -> Graph:
         raise Graph6Error("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = s.encode("ascii", "replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {s[exc.start]!r} outside "
+                          "graph6 range 63..126") from None
     for b in data:
         if b < 63 or b > 126:
             raise Graph6Error(f"byte {b} outside graph6 range 63..126")

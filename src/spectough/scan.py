@@ -8,6 +8,8 @@ eigenratio guarantees with oracle cross-checks, and a status:
     NEAR-TIGHT          some slack within 1e-6 (tight or nearly-tight case)
     COUNTEREXAMPLE(bd0) conjectured bound violated -- a genuine finding
     VIOLATION(bd1|bd2)  a proven bound violated -- impossible absent a bug
+    UNCHECKED(reason)   no bound compared: --no-toughness, or n over the
+                        toughness cap (reason "no-toughness" or "cap")
     SKIPPED(reason)     parse failure / complete / disconnected input
 
 Scans are deterministic: records are emitted in input order regardless
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import bounds, structures, toughness
 from .errors import CapacityError, Graph6Error
@@ -41,40 +43,17 @@ class ScanConfig:
     ab_pairs: tuple[tuple[int, int], ...] = ((1, 2), (2, 3))
 
 
-def _fmt(x):
-    if x is None:
-        return None
-    if isinstance(x, float):
-        return x
-    return x
-
-
 def analyze_graph(g: Graph, g6: str | None = None,
                   config: ScanConfig = ScanConfig()) -> dict:
     """Full analysis record for one graph (plain dict, JSON-serializable)."""
     if g6 is None:
         g6 = write_graph6(g)
-    rec: dict = {
-        "graph6": g6,
-        "n": g.n,
-        "edges": g.edge_count,
-        "mu2": None, "mun": None, "delta": None, "ratio": None,
-        "toughness": None,
-        "bd0": None, "bd1": None, "bd2": None,
-        "slack0": None, "slack1": None, "slack2": None,
-        "certificate": None,
-        "case_flags": None,
-        "guarantees": [],
-        "oracle_results": {},
-        "status": "OK",
-    }
+    rec = _record(g6, g.n, g.edge_count)
     if g.is_complete():
-        rec["toughness"] = "inf"
-        rec["status"] = "SKIPPED(complete)"
+        rec.update(toughness="inf", status="SKIPPED(complete)")
         return rec
     if g.edge_count == 0 or not g.is_connected():
-        rec["toughness"] = "0"
-        rec["status"] = "SKIPPED(disconnected)"
+        rec.update(toughness="0", status="SKIPPED(disconnected)")
         return rec
 
     spec = spectrum(g)
@@ -107,8 +86,26 @@ def analyze_graph(g: Graph, g6: str | None = None,
             if outcome is not None:
                 rec["oracle_results"][_tag(item)] = outcome
 
-    rec["status"] = _status(report)
+    rec["status"] = _status(report, config)
     return rec
+
+
+def _record(g6: str, n: int | None, edges: int | None) -> dict:
+    """The record skeleton: every field, in output order, before analysis."""
+    return {
+        "graph6": g6,
+        "n": n,
+        "edges": edges,
+        "mu2": None, "mun": None, "delta": None, "ratio": None,
+        "toughness": None,
+        "bd0": None, "bd1": None, "bd2": None,
+        "slack0": None, "slack1": None, "slack2": None,
+        "certificate": None,
+        "case_flags": None,
+        "guarantees": [],
+        "oracle_results": {},
+        "status": None,
+    }
 
 
 def _tag(item: structures.Guarantee) -> str:
@@ -118,9 +115,10 @@ def _tag(item: structures.Guarantee) -> str:
     return item.name
 
 
-def _status(report: bounds.BoundReport) -> str:
+def _status(report: bounds.BoundReport, config: ScanConfig) -> str:
     if report.toughness is None:
-        return "OK"
+        return ("UNCHECKED(no-toughness)" if config.no_toughness
+                else "UNCHECKED(cap)")
     t = report.toughness.value_float_floor()
     if t + bounds.VIOLATION_SLACK < report.bd1:
         return "VIOLATION(bd1)"
@@ -168,12 +166,9 @@ def scan_line(line: str, config: ScanConfig) -> dict:
     try:
         g = parse_graph6(line)
     except Graph6Error as exc:
-        return {"graph6": line, "n": None, "edges": None, "mu2": None,
-                "mun": None, "delta": None, "ratio": None, "toughness": None,
-                "bd0": None, "bd1": None, "bd2": None, "slack0": None,
-                "slack1": None, "slack2": None, "certificate": None,
-                "case_flags": None, "guarantees": [], "oracle_results": {},
-                "status": "SKIPPED(parse)", "error": str(exc)}
+        rec = _record(line, None, None)
+        rec.update(status="SKIPPED(parse)", error=str(exc))
+        return rec
     return analyze_graph(g, g6=line, config=config)
 
 
@@ -241,14 +236,9 @@ def hunt(graphs: list[tuple[str, Graph]],
     non-Hamiltonian graphs within the Hamilton oracle cap.
     """
     findings = HuntFindings()
+    analyze_config = replace(config, run_oracles=False, ab_pairs=())
     for g6, g in graphs:
-        rec = analyze_graph(g, g6=g6,
-                            config=ScanConfig(
-                                cap_toughness=config.cap_toughness,
-                                cap_oracle=config.cap_oracle,
-                                no_toughness=config.no_toughness,
-                                run_oracles=False,
-                                ab_pairs=()))
+        rec = analyze_graph(g, g6=g6, config=analyze_config)
         findings.scanned += 1
         if rec["status"].startswith("SKIPPED"):
             continue

@@ -44,17 +44,17 @@ def has_perfect_matching(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
         raise ValueError("perfect matching needs an even number of vertices")
     if g.n > cap:
         raise CapacityError(f"matching oracle capped at n={cap}")
-    return _pm(g.adj, g.full_mask, 0)
+    return _pm(g.adj, g.full_mask)
 
 
-def _pm(adj: tuple[int, ...], unmatched: int, _depth: int) -> bool:
+def _pm(adj: tuple[int, ...], unmatched: int) -> bool:
     if not unmatched:
         return True
     low = unmatched & -unmatched
     v = low.bit_length() - 1
     rest = unmatched ^ low
     for u in iter_bits(adj[v] & rest):
-        if _pm(adj, rest ^ (1 << u), _depth + 1):
+        if _pm(adj, rest ^ (1 << u)):
             return True
     return False
 
@@ -74,9 +74,10 @@ def has_spanning_tree_max_degree(g: Graph, k: int,
     edges = g.edges()
     parent = list(range(g.n))
 
+    # no path compression: backtracking undoes a union by resetting one
+    # root, which is only sound if find never rewrites other links
     def find(v: int) -> int:
         while parent[v] != v:
-            parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 

@@ -12,12 +12,17 @@ import os
 
 import pytest
 
+from spectough import KERNEL_BACKEND
 from spectough.graphs import (Graph, SplitMix64, complete_multipartite, cycle,
                               gnp, path, write_graph6)
 from spectough.scan import ScanConfig, analyze_graph, scan_lines
 
 GNP_MASTER_SEED = 2024
 GNP_TARGET = 4900
+
+
+def pytest_report_header(config):
+    return f"spectough kernel backend: {KERNEL_BACKEND}"
 
 
 def partitions(n: int, max_part: int | None = None):

@@ -143,3 +143,6 @@ def test_scan_lines_cap_skips_toughness():
     records = scan_lines(["IheA@GUAo"], config=ScanConfig(cap_toughness=8))
     assert records[0]["toughness"] is None
     assert records[0]["bd0"] == pytest.approx(1.0, abs=1e-9)
+    assert records[0]["status"] == "UNCHECKED(cap)"
+    records = scan_lines(["IheA@GUAo"], config=ScanConfig(no_toughness=True))
+    assert records[0]["status"] == "UNCHECKED(no-toughness)"

@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectough.errors import Graph6Error
 from spectough.graphs import (Graph, complete, complete_multipartite,
                               components_after_removal, cycle, gnp, mask_of,
                               parse_graph6, path, petersen, write_graph6)
+
+GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
 
 class TestGraph6Parse:
@@ -45,6 +47,16 @@ class TestGraph6Parse:
     def test_empty(self):
         with pytest.raises(Graph6Error):
             parse_graph6("   ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.text(GRAPH6_CHARS), tail=st.text(GRAPH6_CHARS),
+           bad=st.characters().filter(lambda ch: not 63 <= ord(ch) <= 126))
+    @example(head="C", bad="\u00e9", tail="")
+    def test_rejects_characters_outside_range(self, head, bad, tail):
+        # surrounding whitespace is stripped before decoding
+        assume(not bad.isspace() or (head and tail))
+        with pytest.raises(Graph6Error):
+            parse_graph6(head + bad + tail)
 
 
 class TestGraph6Write:

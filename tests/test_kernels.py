@@ -1,36 +1,74 @@
-"""Backend agreement: the compiled kernels must match the pure reference."""
+"""Backend agreement: the compiled kernels must match the pure reference.
+
+The compiled side is the library built in place by setup.py or, when
+there is none, bitset.c compiled here with the system C compiler; both
+are bound by the loader the package uses.
+"""
+
+import os
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectough import _kernels
 from spectough._kernels import _ref
-from spectough.graphs import gnp
-
-try:
-    from spectough._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None,
-                                reason="compiled kernels unavailable")
+from spectough.graphs import complete_multipartite, gnp
 
 
-@needs_fast
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    path = _kernels.library_path()
+    if path is None:
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no built kernel library and no C compiler")
+        source = os.path.join(os.path.dirname(_kernels.__file__), "bitset.c")
+        path = str(tmp_path_factory.mktemp("kernels") / "bitset.so")
+        subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", path, source],
+                       check=True)
+    return _kernels.load(path)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 11), seed=st.integers(0, 2**32),
        p=st.sampled_from([0.2, 0.4, 0.6, 0.8]))
-def test_toughness_search_agreement(n, seed, p):
+def test_toughness_search_agreement(compiled, n, seed, p):
     g = gnp(n, p, seed)
     if g.is_complete() or not g.is_connected():
         return
-    assert _fast.toughness_search(n, g.adj) == _ref.toughness_search(n, g.adj)
+    assert compiled.toughness_search(n, g.adj) == _ref.toughness_search(n, g.adj)
 
 
-@needs_fast
+@pytest.mark.parametrize("n,p,seed", [(13, 0.3, 2), (13, 0.5, 1),
+                                      (14, 0.5, 2), (14, 0.7, 1)])
+def test_toughness_search_agreement_large(compiled, n, p, seed):
+    g = gnp(n, p, seed)
+    assert g.is_connected() and not g.is_complete()
+    assert compiled.toughness_search(n, g.adj) == _ref.toughness_search(n, g.adj)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 11), seed=st.integers(0, 2**32),
        p=st.sampled_from([0.3, 0.5, 0.7]))
-def test_hamilton_agreement(n, seed, p):
+def test_hamilton_agreement(compiled, n, seed, p):
     g = gnp(n, p, seed)
-    assert _fast.hamilton_cycle(n, g.adj) == _ref.hamilton_cycle(n, g.adj)
+    assert compiled.hamilton_cycle(n, g.adj) == _ref.hamilton_cycle(n, g.adj)
+
+
+@pytest.mark.parametrize("sizes", [[6, 7], [7, 3, 3]])
+def test_hamilton_hard_negatives(compiled, sizes):
+    # a part larger than n/2 rules out a Hamilton cycle, but the
+    # backtracker must exhaust a large search tree to find that out
+    g = complete_multipartite(sizes)
+    assert compiled.hamilton_cycle(g.n, g.adj) is False
+    assert _ref.hamilton_cycle(g.n, g.adj) is False
+
+
+def test_compiled_rejects_bad_sizes(compiled):
+    with pytest.raises(ValueError):
+        compiled.toughness_search(63, (0,) * 63)
+    with pytest.raises(ValueError):
+        compiled.hamilton_cycle(4, (3, 3, 3))

@@ -22,7 +22,7 @@ def test_laplacian_p3():
 
 def test_laplacian_rows_sum_zero():
     m = laplacian_matrix(petersen())
-    assert np.array_equal(m.sum(axis=1), np.zeros(10))
+    assert [sum(row) for row in m] == [0.0] * 10
 
 
 def test_spectrum_star():
@@ -60,6 +60,13 @@ def test_jacobi_matches_lapack(n, seed):
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("matrix", [[], [1.0, 2.0], [[1.0, 2.0], [3.0]],
+                                    [[math.nan]]])
+def test_jacobi_rejects_malformed(matrix):
+    with pytest.raises(ValueError):
+        jacobi_eigenvalues(matrix)
 
 
 @settings(max_examples=50, deadline=None)

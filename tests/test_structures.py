@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectough.errors import CapacityError
@@ -50,6 +50,7 @@ class TestSpanningTree:
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(3, 10), seed=st.integers(0, 2**32))
+    @example(n=7, seed=563354)  # undoing a union after path compression
     def test_degree2_equals_hamilton_path(self, n, seed):
         g = gnp(n, 0.5, seed)
         if not g.is_connected():
