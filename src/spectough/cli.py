@@ -1,12 +1,16 @@
 """Command-line front end: analyze | scan | hunt | gen.
 
 Exit codes: 0 clean, 1 findings (counterexample or violation), 2 usage,
-3 internal error.  SPECTOUGH_JOBS is the fallback for --jobs.
+3 internal error (for scan: any ERROR record, after every record is
+written).  --findings-ok waives only bd0 counterexamples: a violation of
+a proven bound is a software bug and always exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -50,11 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan a graph6 corpus file")
     p.add_argument("corpus", help="path to graph6 lines ('#' comments ok)")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1)")
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--output", help="output path (default stdout)")
     p.add_argument("--findings-ok", action="store_true",
-                   help="exit 0 even when findings are present")
+                   help="exit 0 on bd0 counterexamples (never on violations)")
     _add_caps(p)
 
     p = sub.add_parser("hunt", help="hunt counterexamples and tight cases")
@@ -129,42 +134,43 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        with open(args.corpus) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        print(f"scan: {exc}", file=sys.stderr)
+    if args.jobs < 1:
+        print("scan: --jobs must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    jobs = args.jobs if args.jobs else scanmod.default_jobs()
-    records = scanmod.scan_lines(lines, config=_config(args), jobs=jobs)
-
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        for rec in records:
+    counts: dict[str, int] = {}
+    with contextlib.ExitStack() as stack:
+        try:
+            corpus = stack.enter_context(open(args.corpus))
+            out = (stack.enter_context(open(args.output, "w"))
+                   if args.output else sys.stdout)
+        except OSError as exc:
+            print(f"scan: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        for rec in scanmod.scan_lines(corpus, config=_config(args),
+                                      jobs=args.jobs):
             if args.format == "csv":
                 out.write(scanmod.record_to_csv_row(rec) + "\n")
             else:
                 out.write(scanmod.record_to_jsonl(rec) + "\n")
-    finally:
-        if args.output:
-            out.close()
+            kind = rec["status"].split("(")[0]
+            counts[kind] = counts.get(kind, 0) + 1
+            if kind == "VIOLATION":
+                print("scan: PROVEN BOUND VIOLATED (software bug) -- "
+                      "diagnostic dump:", file=sys.stderr)
+                print(scanmod.record_to_jsonl(rec), file=sys.stderr)
+            elif kind == "COUNTEREXAMPLE":
+                print(f"scan: conjecture counterexample candidate "
+                      f"{rec['graph6']}", file=sys.stderr)
+            elif kind == "ERROR":
+                print(f"scan: {rec['status']} on {rec['graph6']}: "
+                      f"{rec['error']}", file=sys.stderr)
 
-    summary = scanmod.summarize(records)
-    print(f"scan: {summary['total']} records "
-          f"{json.dumps(summary['by_status'], sort_keys=True)}", file=sys.stderr)
-
-    findings = False
-    for rec in records:
-        if rec["status"].startswith("VIOLATION"):
-            print("scan: PROVEN BOUND VIOLATED (software bug) -- diagnostic dump:",
-                  file=sys.stderr)
-            print(scanmod.record_to_jsonl(rec), file=sys.stderr)
-            findings = True
-        elif rec["status"].startswith("COUNTEREXAMPLE"):
-            print(f"scan: conjecture counterexample candidate {rec['graph6']}",
-                  file=sys.stderr)
-            findings = True
-    if findings and not args.findings_ok:
+    print(f"scan: {sum(counts.values())} records "
+          f"{json.dumps(counts, sort_keys=True)}", file=sys.stderr)
+    if "ERROR" in counts:
+        return EXIT_INTERNAL
+    if "VIOLATION" in counts or ("COUNTEREXAMPLE" in counts
+                                 and not args.findings_ok):
         return EXIT_FINDINGS
     return EXIT_OK
 
@@ -173,16 +179,17 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     graphs = []
     try:
         for spec in args.specs:
+            left = args.budget - len(graphs)
             if "/" in spec or spec.endswith(".g6") or spec.startswith("file:"):
                 path = spec.removeprefix("file:")
                 with open(path) as fh:
-                    for line in read_graph6_lines(fh):
+                    for line in itertools.islice(read_graph6_lines(fh), left):
                         graphs.append((line, parse_graph6(line)))
             else:
-                for g in generate_family(spec, seed=args.seed, count=args.count):
+                family = generate_family(spec, seed=args.seed, count=args.count)
+                for g in itertools.islice(family, left):
                     graphs.append((write_graph6(g), g))
             if len(graphs) >= args.budget:
-                graphs = graphs[:args.budget]
                 break
     except (OSError, Graph6Error, ValueError) as exc:
         print(f"hunt: {exc}", file=sys.stderr)

@@ -11,17 +11,22 @@ eigenratio guarantees with oracle cross-checks, and a status:
     UNCHECKED(reason)   no bound compared: --no-toughness, or n over the
                         toughness cap (reason "no-toughness" or "cap")
     SKIPPED(reason)     parse failure / complete / disconnected input
+    ERROR(type)         the analysis raised; type is the exception class
+                        and the record's "error" field its message
 
-Scans are deterministic: records are emitted in input order regardless
-of worker count, and every field serializes identically across runs.
+Scans stream: each record is yielded as soon as it and every record
+before it are done.  They are deterministic: records come in input order
+regardless of worker count, and every field serializes identically
+across runs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
-import os
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 from . import bounds, structures, toughness
 from .errors import CapacityError, Graph6Error
@@ -148,57 +153,33 @@ def record_to_csv_row(rec: dict) -> str:
 # ---------------------------------------------------------------------------
 # corpus scan
 
-_WORKER_CONFIG: ScanConfig | None = None
-
-
-def _init_worker(config: ScanConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _scan_one(args: tuple[int, str]) -> dict:
-    _, line = args
-    config = _WORKER_CONFIG or ScanConfig()
-    return scan_line(line, config)
-
-
 def scan_line(line: str, config: ScanConfig) -> dict:
+    """The record for one graph6 line; never raises for a bad graph."""
     try:
         g = parse_graph6(line)
     except Graph6Error as exc:
         rec = _record(line, None, None)
         rec.update(status="SKIPPED(parse)", error=str(exc))
         return rec
-    return analyze_graph(g, g6=line, config=config)
+    try:
+        return analyze_graph(g, g6=line, config=config)
+    except Exception as exc:  # one bad graph must not lose the scan
+        rec = _record(line, g.n, g.edge_count)
+        rec.update(status=f"ERROR({type(exc).__name__})", error=str(exc))
+        return rec
 
 
-def scan_lines(lines: list[str], config: ScanConfig = ScanConfig(),
-               jobs: int = 1) -> list[dict]:
-    """Analyze graph6 lines; output order always matches input order."""
-    payload = list(read_graph6_lines(lines))
+def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
+               jobs: int = 1) -> Iterator[dict]:
+    """Analyze graph6 lines lazily; records come in input order."""
+    payload = read_graph6_lines(lines)
     if jobs <= 1:
-        return [scan_line(line, config) for line in payload]
-    with multiprocessing.Pool(jobs, initializer=_init_worker,
-                              initargs=(config,)) as pool:
-        return list(pool.imap(_scan_one, enumerate(payload), chunksize=16))
-
-
-def summarize(records: list[dict]) -> dict:
-    counts: dict[str, int] = {}
-    for rec in records:
-        key = rec["status"].split("(")[0]
-        counts[key] = counts.get(key, 0) + 1
-    return {"total": len(records), "by_status": counts}
-
-
-def default_jobs() -> int:
-    env = os.environ.get("SPECTOUGH_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+        for line in payload:
+            yield scan_line(line, config)
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(functools.partial(scan_line, config=config),
+                             payload, chunksize=16)
 
 
 # ---------------------------------------------------------------------------

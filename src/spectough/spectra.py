@@ -118,22 +118,3 @@ class Spectrum:
 def spectrum(g: Graph) -> Spectrum:
     values = jacobi_eigenvalues(laplacian_matrix(g))
     return Spectrum(values=tuple(values), tol=1e-9 * g.n)
-
-
-@dataclass(frozen=True)
-class EigenSummary:
-    mu2: float
-    mun: float
-    delta: int
-    dmax: int
-    ratio: float
-
-
-def eigen_summary(g: Graph, spec: Spectrum | None = None) -> EigenSummary:
-    """mu2, mun, min/max degree, and the eigenratio mu2/mun."""
-    if g.edge_count == 0:
-        raise ValueError("eigen_summary needs at least one edge (mun would be 0)")
-    if spec is None:
-        spec = spectrum(g)
-    return EigenSummary(mu2=spec.mu2, mun=spec.mun, delta=g.min_degree(),
-                        dmax=g.max_degree(), ratio=spec.mu2 / spec.mun)

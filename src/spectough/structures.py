@@ -105,23 +105,6 @@ def has_spanning_tree_max_degree(g: Graph, k: int,
     return rec(0, 0)
 
 
-def has_hamilton_path(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Direct Hamilton-path backtracker (cross-check for the k=2 tree case)."""
-    if g.n > cap:
-        raise CapacityError(f"path oracle capped at n={cap}")
-    if g.n == 1:
-        return True
-    full = g.full_mask
-
-    def extend(v: int, visited: int) -> bool:
-        if visited == full:
-            return True
-        return any(extend(u, visited | (1 << u))
-                   for u in iter_bits(g.adj[v] & ~visited))
-
-    return any(extend(s, 1 << s) for s in range(g.n))
-
-
 def has_hamilton_cycle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """Deterministic backtracking with degree-2 and connectivity pruning."""
     if g.n < 3:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from . import _kernels
 from .errors import CapacityError, NotApplicableError
-from .graphs import Graph, components_after_removal, mask_of
+from .graphs import Graph
 
 DEFAULT_TOUGHNESS_CAP = 14
 
@@ -76,29 +75,6 @@ def exact_toughness(g: Graph, cap: int = DEFAULT_TOUGHNESS_CAP) -> ToughnessCert
         raise AssertionError("toughness search found no admissible cut")
     return ToughnessCertificate(kind=FINITE, s_mask=mask, c=den,
                                 value=Fraction(num, den))
-
-
-def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
-    """No-pruning reference search; kept independent of the kernels on purpose."""
-    if g.n > cap:
-        raise CapacityError(f"exhaustive search capped at n={cap}")
-    if g.is_complete():
-        return ToughnessCertificate(kind=INFINITE)
-    if not g.is_connected():
-        return ToughnessCertificate(kind=ZERO, value=Fraction(0))
-    best = None
-    best_mask = 0
-    best_c = 0
-    for k in range(1, g.n - 1):
-        for combo in combinations(range(g.n), k):
-            mask = mask_of(combo)
-            comps = components_after_removal(g, mask)
-            if len(comps) < 2:
-                continue
-            val = Fraction(k, len(comps))
-            if best is None or val < best:
-                best, best_mask, best_c = val, mask, len(comps)
-    return ToughnessCertificate(kind=FINITE, s_mask=best_mask, c=best_c, value=best)
 
 
 def is_r_tough(g: Graph, r: Fraction | int,

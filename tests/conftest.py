@@ -20,6 +20,13 @@ from spectough.scan import ScanConfig, analyze_graph, scan_lines
 GNP_MASTER_SEED = 2024
 GNP_TARGET = 4900
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+# Environment for CLI subprocesses: they run this source tree even when
+# the package is not installed.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+
 
 def pytest_report_header(config):
     return f"spectough kernel backend: {KERNEL_BACKEND}"
@@ -75,7 +82,7 @@ def corpus() -> list[tuple[str, Graph]]:
 def corpus_records(corpus) -> list[dict]:
     lines = [g6 for g6, _ in corpus]
     jobs = min(8, os.cpu_count() or 1)
-    return scan_lines(lines, config=ScanConfig(), jobs=jobs)
+    return list(scan_lines(lines, config=ScanConfig(), jobs=jobs))
 
 
 @pytest.fixture(scope="session")

@@ -22,10 +22,9 @@ from spectough.graphs import (complete_multipartite, components_after_removal,
 from spectough.scan import ScanConfig, analyze_graph
 from spectough.spectra import spectrum
 from spectough.structures import has_hamilton_cycle
-from spectough.toughness import (exact_toughness, exhaustive_toughness,
-                                 proof_partition)
-from tests._oracles import max_independent_set_size
-from tests.conftest import partitions
+from spectough.toughness import exact_toughness, proof_partition
+from tests._oracles import exhaustive_toughness, max_independent_set_size
+from tests.conftest import CLI_ENV, partitions
 
 
 def report(k: int, name: str, ok: bool = True):
@@ -206,7 +205,7 @@ def test_12_scan_determinism(tmp_path, corpus):
         proc = subprocess.run(
             [sys.executable, "-m", "spectough", "scan", str(corpus_file),
              "--jobs", jobs, "--output", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CLI_ENV)
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     report(12, "scan determinism across worker counts", outs[0] == outs[1])

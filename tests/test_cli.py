@@ -1,17 +1,30 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from spectough import cli, scan
 from spectough.cli import main
 from spectough.graphs import parse_graph6
 from spectough.scan import ScanConfig, scan_lines
+from tests.conftest import CLI_ENV
+
+# Runs argv[1:] and prints its exit code and peak RSS in KiB.  A process
+# inherits the high-water RSS of the one that forked it, so the CLI is
+# started from this small launcher rather than from pytest.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "spectough", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
     return proc
 
 
@@ -94,6 +107,88 @@ class TestScan:
         assert r1.returncode == 0 and r4.returncode == 0
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    def test_jobs_below_one_is_usage_error(self, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bg\n")
+        assert main(["scan", str(corpus), "--jobs", "0"]) == 2
+
+    def test_unwritable_output_fails_before_analysis(self, tmp_path,
+                                                     monkeypatch):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bg\n")
+        calls = []
+        monkeypatch.setattr(scan, "analyze_graph",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "missing-dir" / "out.jsonl"
+        assert main(["scan", str(corpus), "--output", str(out)]) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers see the patched analyzer only when forked")),
+    ])
+    def test_one_bad_graph_keeps_the_rest(self, tmp_path, monkeypatch, jobs):
+        lines = ["Bg", "Cl", "CF", "Bw"] * 10
+        bad = 17
+        lines.insert(bad, "Dhc")  # C5, the only line the analyzer fails on
+        real = scan.analyze_graph
+
+        def faulty(g, g6=None, config=ScanConfig()):
+            if g6 == "Dhc":
+                raise ZeroDivisionError("injected")
+            return real(g, g6=g6, config=config)
+
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out.jsonl"
+        monkeypatch.setattr(scan, "analyze_graph", faulty)
+        assert main(["scan", str(corpus), "--jobs", str(jobs),
+                     "--output", str(out)]) == 3
+        records = [json.loads(row) for row in out.read_text().splitlines()]
+        assert [r["graph6"] for r in records] == lines
+        assert [r["status"].startswith("ERROR") for r in records].count(True) == 1
+        assert records[bad]["status"] == "ERROR(ZeroDivisionError)"
+        assert records[bad]["error"] == "injected"
+        assert (records[bad]["n"], records[bad]["edges"]) == (5, 5)
+
+    def test_findings_ok_never_waives_a_violation(self, tmp_path, monkeypatch,
+                                                  capsys):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bg\n")
+        real = scan.analyze_graph
+
+        def with_status(status):
+            def analyze(*args, **kwargs):
+                rec = real(*args, **kwargs)
+                rec["status"] = status
+                return rec
+            return analyze
+
+        argv = ["scan", str(corpus), "--findings-ok"]
+        monkeypatch.setattr(scan, "analyze_graph",
+                            with_status("COUNTEREXAMPLE(bd0)"))
+        assert main(argv[:2]) == 1
+        assert main(argv) == 0
+        monkeypatch.setattr(scan, "analyze_graph", with_status("VIOLATION(bd1)"))
+        assert main(argv) == 1
+        assert "PROVEN BOUND VIOLATED" in capsys.readouterr().err
+
+    def test_peak_rss_flat_in_corpus_length(self, tmp_path):
+        peaks = []
+        for count in (1000, 100_000):
+            corpus = tmp_path / f"bw{count}.g6"
+            corpus.write_text("Bw\n" * count)
+            proc = subprocess.run(
+                [sys.executable, "-c", LAUNCHER, sys.executable, "-m",
+                 "spectough", "scan", str(corpus)],
+                capture_output=True, text=True, env=CLI_ENV, check=True)
+            code, peak_kib = map(int, proc.stdout.split())
+            assert code == 0
+            peaks.append(peak_kib / 1024)
+        assert abs(peaks[1] - peaks[0]) < 10, peaks
+
 
 class TestHunt:
     def test_kss1(self, tmp_path):
@@ -113,6 +208,30 @@ class TestHunt:
         doc = json.loads(out.read_text())
         assert doc["scanned"] == 25
         assert doc["bd0_counterexamples"] == []
+
+    def test_budget_cuts_expansion(self, tmp_path, monkeypatch):
+        drawn = []
+        real = cli.generate_family
+
+        def counted(*args, **kwargs):
+            for g in real(*args, **kwargs):
+                drawn.append(g)
+                yield g
+
+        monkeypatch.setattr(cli, "generate_family", counted)
+        out = tmp_path / "findings.json"
+        assert main(["hunt", "kss1:2..4", "gnp:10,0.5", "--count", "50000",
+                     "--budget", "5", "--output", str(out)]) == 0
+        assert len(drawn) == 5
+        assert json.loads(out.read_text())["scanned"] == 5
+
+    def test_bad_spec_fails_before_analysis(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scan, "analyze_graph",
+                            lambda *a, **k: calls.append(a))
+        assert main(["hunt", "kss1:2..4", "dodecahedron"]) == 2
+        assert main(["hunt", "kss1:2", str(tmp_path / "missing.g6")]) == 2
+        assert calls == []
 
 
 class TestGen:
@@ -140,9 +259,9 @@ class TestGen:
 
 
 def test_scan_lines_cap_skips_toughness():
-    records = scan_lines(["IheA@GUAo"], config=ScanConfig(cap_toughness=8))
+    records = list(scan_lines(["IheA@GUAo"], config=ScanConfig(cap_toughness=8)))
     assert records[0]["toughness"] is None
     assert records[0]["bd0"] == pytest.approx(1.0, abs=1e-9)
     assert records[0]["status"] == "UNCHECKED(cap)"
-    records = scan_lines(["IheA@GUAo"], config=ScanConfig(no_toughness=True))
+    records = list(scan_lines(["IheA@GUAo"], config=ScanConfig(no_toughness=True)))
     assert records[0]["status"] == "UNCHECKED(no-toughness)"

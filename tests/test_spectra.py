@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
                               path, petersen)
-from spectough.spectra import (eigen_summary, jacobi_eigenvalues,
-                               laplacian_matrix, spectrum)
+from spectough.spectra import jacobi_eigenvalues, laplacian_matrix, spectrum
 
 
 def test_laplacian_k2():
@@ -98,28 +97,26 @@ def test_regular_shift():
 
 
 def test_eigen_summary_petersen():
-    es = eigen_summary(petersen())
-    assert (es.mu2, es.mun) == (pytest.approx(2, abs=1e-9),
-                                pytest.approx(5, abs=1e-9))
-    assert es.delta == 3 and es.dmax == 3
-    assert es.ratio == pytest.approx(0.4, abs=1e-9)
+    g = petersen()
+    s = spectrum(g)
+    assert (s.mu2, s.mun) == (pytest.approx(2, abs=1e-9),
+                              pytest.approx(5, abs=1e-9))
+    assert g.min_degree() == 3 and g.max_degree() == 3
+    assert s.ratio == pytest.approx(0.4, abs=1e-9)
 
 
 def test_eigen_summary_petersen_complement():
-    es = eigen_summary(petersen().complement())
-    assert es.mu2 == pytest.approx(5, abs=1e-9)
-    assert es.mun == pytest.approx(8, abs=1e-9)
-    assert es.delta == 6 and es.ratio == pytest.approx(0.625, abs=1e-9)
+    g = petersen().complement()
+    s = spectrum(g)
+    assert s.mu2 == pytest.approx(5, abs=1e-9)
+    assert s.mun == pytest.approx(8, abs=1e-9)
+    assert g.min_degree() == 6 and s.ratio == pytest.approx(0.625, abs=1e-9)
 
 
 def test_eigen_summary_star():
-    es = eigen_summary(complete_multipartite([3, 1]))
-    assert es.mu2 == pytest.approx(1, abs=1e-9)
-    assert es.mun == pytest.approx(4, abs=1e-9)
-    assert es.delta == 1 and es.dmax == 3
-    assert es.ratio == pytest.approx(0.25, abs=1e-9)
-
-
-def test_eigen_summary_needs_edges():
-    with pytest.raises(ValueError):
-        eigen_summary(path(1))
+    g = complete_multipartite([3, 1])
+    s = spectrum(g)
+    assert s.mu2 == pytest.approx(1, abs=1e-9)
+    assert s.mun == pytest.approx(4, abs=1e-9)
+    assert g.min_degree() == 1 and g.max_degree() == 3
+    assert s.ratio == pytest.approx(0.25, abs=1e-9)

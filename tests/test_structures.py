@@ -7,10 +7,11 @@ from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
 from spectough.spectra import spectrum
 from spectough.structures import (guarantees, has_factor, has_hamilton_cycle,
-                                  has_hamilton_path, has_perfect_matching,
+                                  has_perfect_matching,
                                   has_spanning_tree_max_degree,
                                   is_1s_factor_critical, is_m_extendable,
                                   verify_guarantee)
+from tests._oracles import has_hamilton_path
 
 
 class TestPerfectMatching:
