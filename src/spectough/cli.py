@@ -1,9 +1,9 @@
 """Command-line front end: analyze | scan | hunt | gen.
 
 Exit codes: 0 clean, 1 findings (counterexample or violation), 2 usage,
-3 internal error (for scan: any ERROR record, after every record is
-written).  --findings-ok waives only bd0 counterexamples: a violation of
-a proven bound is a software bug and always exits 1.
+3 internal error (for scan and hunt: any ERROR record, after every record
+is analyzed).  --findings-ok waives only bd0 counterexamples: a violation
+of a proven bound or guarantee is a software bug and always exits 1.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
                    help="skip the exponential toughness search and slacks")
 
 
+def _add_findings_ok(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--findings-ok", action="store_true",
+                   help="exit 0 on bd0 counterexamples (never on violations)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spectough",
@@ -58,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default 1)")
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--output", help="output path (default stdout)")
-    p.add_argument("--findings-ok", action="store_true",
-                   help="exit 0 on bd0 counterexamples (never on violations)")
+    _add_findings_ok(p)
     _add_caps(p)
 
     p = sub.add_parser("hunt", help="hunt counterexamples and tight cases")
@@ -71,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100000,
                    help="max graphs to examine in total")
     p.add_argument("--output", help="findings JSON path (default stdout)")
-    p.add_argument("--findings-ok", action="store_true")
+    _add_findings_ok(p)
     _add_caps(p)
 
     p = sub.add_parser("gen", help="generate graph6 lines for a family")
@@ -133,6 +137,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reported(prog: str, records, counts: dict[str, int]):
+    """Pass records through, counting each status kind and reporting
+    violations, counterexamples and errors on stderr."""
+    for rec in records:
+        kind = rec["status"].split("(")[0]
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind == "VIOLATION":
+            print(f"{prog}: PROVEN BOUND VIOLATED (software bug) -- "
+                  "diagnostic dump:", file=sys.stderr)
+            print(scanmod.record_to_jsonl(rec), file=sys.stderr)
+        elif kind == "COUNTEREXAMPLE":
+            print(f"{prog}: conjecture counterexample candidate "
+                  f"{rec['graph6']}", file=sys.stderr)
+        elif kind == "ERROR":
+            print(f"{prog}: {rec['status']} on {rec['graph6']}: "
+                  f"{rec['error']}", file=sys.stderr)
+        yield rec
+
+
+def _exit_code(prog: str, counts: dict[str, int], findings_ok: bool) -> int:
+    """Print the summary line and return the exit code for the counts."""
+    print(f"{prog}: {sum(counts.values())} records "
+          f"{json.dumps(counts, sort_keys=True)}", file=sys.stderr)
+    if "ERROR" in counts:
+        return EXIT_INTERNAL
+    if "VIOLATION" in counts or ("COUNTEREXAMPLE" in counts
+                                 and not findings_ok):
+        return EXIT_FINDINGS
+    return EXIT_OK
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("scan: --jobs must be at least 1", file=sys.stderr)
@@ -146,64 +181,44 @@ def cmd_scan(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"scan: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for rec in scanmod.scan_lines(corpus, config=_config(args),
-                                      jobs=args.jobs):
+        records = scanmod.scan_lines(corpus, config=_config(args),
+                                     jobs=args.jobs)
+        for rec in _reported("scan", records, counts):
             if args.format == "csv":
                 out.write(scanmod.record_to_csv_row(rec) + "\n")
             else:
                 out.write(scanmod.record_to_jsonl(rec) + "\n")
-            kind = rec["status"].split("(")[0]
-            counts[kind] = counts.get(kind, 0) + 1
-            if kind == "VIOLATION":
-                print("scan: PROVEN BOUND VIOLATED (software bug) -- "
-                      "diagnostic dump:", file=sys.stderr)
-                print(scanmod.record_to_jsonl(rec), file=sys.stderr)
-            elif kind == "COUNTEREXAMPLE":
-                print(f"scan: conjecture counterexample candidate "
-                      f"{rec['graph6']}", file=sys.stderr)
-            elif kind == "ERROR":
-                print(f"scan: {rec['status']} on {rec['graph6']}: "
-                      f"{rec['error']}", file=sys.stderr)
-
-    print(f"scan: {sum(counts.values())} records "
-          f"{json.dumps(counts, sort_keys=True)}", file=sys.stderr)
-    if "ERROR" in counts:
-        return EXIT_INTERNAL
-    if "VIOLATION" in counts or ("COUNTEREXAMPLE" in counts
-                                 and not args.findings_ok):
-        return EXIT_FINDINGS
-    return EXIT_OK
+    return _exit_code("scan", counts, args.findings_ok)
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
-    graphs = []
-    try:
-        for spec in args.specs:
-            left = args.budget - len(graphs)
-            if "/" in spec or spec.endswith(".g6") or spec.startswith("file:"):
-                path = spec.removeprefix("file:")
-                with open(path) as fh:
-                    for line in itertools.islice(read_graph6_lines(fh), left):
-                        graphs.append((line, parse_graph6(line)))
-            else:
-                family = generate_family(spec, seed=args.seed, count=args.count)
-                for g in itertools.islice(family, left):
-                    graphs.append((write_graph6(g), g))
-            if len(graphs) >= args.budget:
-                break
-    except (OSError, Graph6Error, ValueError) as exc:
-        print(f"hunt: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    findings = scanmod.hunt(graphs, config=_config(args))
-    doc = json.dumps(findings.to_dict(), indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
-    if findings.bd0_counterexamples and not args.findings_ok:
-        return EXIT_FINDINGS
-    return EXIT_OK
+    counts: dict[str, int] = {}
+    with contextlib.ExitStack() as stack:
+        try:
+            out = (stack.enter_context(open(args.output, "w"))
+                   if args.output else sys.stdout)
+            sources = []
+            for spec in args.specs:
+                if ("/" in spec or spec.endswith(".g6")
+                        or spec.startswith("file:")):
+                    sources.append(stack.enter_context(
+                        open(spec.removeprefix("file:"))))
+                else:
+                    sources.append(map(write_graph6, generate_family(
+                        spec, seed=args.seed, count=args.count)))
+            lines = itertools.islice(
+                read_graph6_lines(itertools.chain(*sources)), args.budget)
+            records = scanmod.scan_lines(lines, config=_config(args), jobs=1)
+            findings = scanmod.hunt(_reported("hunt", records, counts),
+                                    cap_oracle=args.cap_oracle)
+        except (OSError, Graph6Error, ValueError) as exc:
+            # scan_line turns every per-graph fault into a record, so this
+            # is bad input: an unknown family, a file that cannot be opened
+            # or read, or a family parameter that fails when a graph is drawn.
+            print(f"hunt: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        print(json.dumps(findings, indent=2), file=out)
+    return _exit_code("hunt", counts, args.findings_ok)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

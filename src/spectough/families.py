@@ -25,32 +25,24 @@ def _int_range(text: str) -> list[int]:
 
 
 def generate_family(spec: str, seed: int = 0, count: int = 1) -> Iterator[Graph]:
-    """Yield the graphs described by one family spec string."""
+    """The graphs of one family spec, drawn lazily; a bad spec raises here."""
     name, _, params = spec.partition(":")
     name = name.strip().lower()
     if name == "petersen":
-        yield petersen()
-        return
+        return (petersen() for _ in range(1))
     if name in ("complete", "cycle", "path"):
         maker = {"complete": complete, "cycle": cycle, "path": path}[name]
-        for n in _int_range(params):
-            yield maker(n)
-        return
+        return map(maker, _int_range(params))
     if name == "complete_multipartite":
-        sizes = [int(x) for x in params.split(",") if x.strip()]
-        yield complete_multipartite(sizes)
-        return
+        return map(complete_multipartite,
+                   [[int(x) for x in params.split(",") if x.strip()]])
     if name == "kss1":
-        for s in _int_range(params):
-            yield complete_multipartite([s, s + 1])
-        return
+        return (complete_multipartite([s, s + 1]) for s in _int_range(params))
     if name == "gnp":
         parts = params.split(",")
         if len(parts) != 2:
             raise ValueError("gnp spec needs gnp:N,P")
         n, p = int(parts[0]), float(parts[1])
         seeder = SplitMix64(seed)
-        for _ in range(count):
-            yield gnp(n, p, seeder.next_u64())
-        return
+        return (gnp(n, p, seeder.next_u64()) for _ in range(count))
     raise ValueError(f"unknown family {name!r}")

@@ -8,6 +8,8 @@ eigenratio guarantees with oracle cross-checks, and a status:
     NEAR-TIGHT          some slack within 1e-6 (tight or nearly-tight case)
     COUNTEREXAMPLE(bd0) conjectured bound violated -- a genuine finding
     VIOLATION(bd1|bd2)  a proven bound violated -- impossible absent a bug
+    VIOLATION(tag)      an oracle refuted the eigenratio guarantee "tag"
+                        (e.g. k-factor[k=2]) -- also a bug: each is a theorem
     UNCHECKED(reason)   no bound compared: --no-toughness, or n over the
                         toughness cap (reason "no-toughness" or "cap")
     SKIPPED(reason)     parse failure / complete / disconnected input
@@ -25,11 +27,11 @@ from __future__ import annotations
 import functools
 import json
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import bounds, structures, toughness
-from .errors import CapacityError, Graph6Error
+from .errors import Graph6Error
 from .graphs import Graph, parse_graph6, read_graph6_lines, write_graph6
 from .spectra import spectrum
 
@@ -37,6 +39,8 @@ CSV_COLUMNS = [
     "graph6", "n", "edges", "mu2", "mun", "delta", "ratio", "toughness",
     "bd0", "bd1", "bd2", "slack0", "slack1", "slack2", "status",
 ]
+# The [a,b]-factor hypotheses every record evaluates.
+AB_PAIRS = ((1, 2), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,6 @@ class ScanConfig:
     cap_toughness: int = toughness.DEFAULT_TOUGHNESS_CAP
     cap_oracle: int = structures.DEFAULT_ORACLE_CAP
     no_toughness: bool = False
-    run_oracles: bool = True
-    ab_pairs: tuple[tuple[int, int], ...] = ((1, 2), (2, 3))
 
 
 def analyze_graph(g: Graph, g6: str | None = None,
@@ -82,16 +84,15 @@ def analyze_graph(g: Graph, g6: str | None = None,
         rec["case_flags"] = {"i": flags.case_i, "ii": flags.case_ii,
                              "iii": flags.case_iii, "iv": flags.case_iv}
 
-    items = structures.guarantees(g, spec, ab_pairs=config.ab_pairs)
+    items = structures.guarantees(g, spec, ab_pairs=AB_PAIRS)
     rec["guarantees"] = [_tag(item) for item in items]
-    if config.run_oracles:
-        for item in items:
-            outcome = structures.verify_guarantee(g, item,
-                                                  oracle_cap=config.cap_oracle)
-            if outcome is not None:
-                rec["oracle_results"][_tag(item)] = outcome
+    for item in items:
+        outcome = structures.verify_guarantee(g, item,
+                                              oracle_cap=config.cap_oracle)
+        if outcome is not None:
+            rec["oracle_results"][_tag(item)] = outcome
 
-    rec["status"] = _status(report, config)
+    rec["status"] = _status(report, rec["oracle_results"], config)
     return rec
 
 
@@ -120,15 +121,19 @@ def _tag(item: structures.Guarantee) -> str:
     return item.name
 
 
-def _status(report: bounds.BoundReport, config: ScanConfig) -> str:
-    if report.toughness is None:
+def _status(report: bounds.BoundReport, oracle_results: dict[str, bool],
+            config: ScanConfig) -> str:
+    t = (None if report.toughness is None
+         else report.toughness.value_float_floor())
+    for name, bound in (("bd1", report.bd1), ("bd2", report.bd2)):
+        if t is not None and t + bounds.VIOLATION_SLACK < bound:
+            return f"VIOLATION({name})"
+    refuted = [tag for tag, ok in oracle_results.items() if not ok]
+    if refuted:
+        return f"VIOLATION({refuted[0]})"
+    if t is None:
         return ("UNCHECKED(no-toughness)" if config.no_toughness
                 else "UNCHECKED(cap)")
-    t = report.toughness.value_float_floor()
-    if t + bounds.VIOLATION_SLACK < report.bd1:
-        return "VIOLATION(bd1)"
-    if t + bounds.VIOLATION_SLACK < report.bd2:
-        return "VIOLATION(bd2)"
     if t + bounds.VIOLATION_SLACK < report.bd0:
         return "COUNTEREXAMPLE(bd0)"
     slacks = [s for s in (report.slack0, report.slack1, report.slack2)
@@ -186,56 +191,37 @@ def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
 # hunting
 
 
-@dataclass
-class HuntFindings:
-    scanned: int = 0
-    bd0_counterexamples: list[dict] = field(default_factory=list)
-    frontier_ratio: float | None = None
-    frontier_graph6: str | None = None
-    frontier_history: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "scanned": self.scanned,
-            "bd0_counterexamples": self.bd0_counterexamples,
-            "non_hamiltonian_frontier": {
-                "ratio": self.frontier_ratio,
-                "graph6": self.frontier_graph6,
-                "history": self.frontier_history,
-            },
-            "note": ("unbalanced complete bipartite graphs push the "
-                     "non-Hamiltonian eigenratio frontier toward 1/2"),
-        }
-
-
-def hunt(graphs: list[tuple[str, Graph]],
-         config: ScanConfig = ScanConfig()) -> HuntFindings:
-    """Stream graphs through the analyzer, collecting conjecture evidence.
-
-    Tracks two things: any violation of the conjectured bound bd0 (with
-    full certificate), and the running maximum eigenratio over connected
-    non-Hamiltonian graphs within the Hamilton oracle cap.
-    """
-    findings = HuntFindings()
-    analyze_config = replace(config, run_oracles=False, ab_pairs=())
-    for g6, g in graphs:
-        rec = analyze_graph(g, g6=g6, config=analyze_config)
-        findings.scanned += 1
-        if rec["status"].startswith("SKIPPED"):
-            continue
+def hunt(records: Iterable[dict], cap_oracle: int) -> dict:
+    """Fold scan records into the findings document: every bd0
+    counterexample, and the running maximum eigenratio over
+    non-Hamiltonian graphs of order 3..cap_oracle.  The Hamilton search
+    runs only for a ratio that would move that frontier, and not when the
+    cut has |S| < c: a Hamiltonian graph is 1-tough (Chvatal, 1973)."""
+    scanned = 0
+    counterexamples: list[dict] = []
+    history: list[dict] = []
+    for scanned, rec in enumerate(records, 1):
         if rec["status"] == "COUNTEREXAMPLE(bd0)":
-            findings.bd0_counterexamples.append(rec)
-        if g.n >= 3 and g.n <= config.cap_oracle:
-            try:
-                hamiltonian = structures.has_hamilton_cycle(
-                    g, cap=config.cap_oracle)
-            except CapacityError:
-                hamiltonian = True  # unknown; never advances the frontier
-            if not hamiltonian:
-                ratio = rec["ratio"]
-                if findings.frontier_ratio is None or ratio > findings.frontier_ratio:
-                    findings.frontier_ratio = ratio
-                    findings.frontier_graph6 = g6
-                    findings.frontier_history.append(
-                        {"graph6": g6, "ratio": ratio, "n": g.n})
-    return findings
+            counterexamples.append(rec)
+        ratio, cert = rec["ratio"], rec["certificate"]
+        if (ratio is None or not 3 <= rec["n"] <= cap_oracle
+                or history and ratio <= history[-1]["ratio"]):
+            continue
+        if ((cert is None or len(cert["S"]) >= cert["c"])
+                and structures.has_hamilton_cycle(parse_graph6(rec["graph6"]),
+                                                  cap=cap_oracle)):
+            continue
+        history.append({"graph6": rec["graph6"], "ratio": ratio,
+                        "n": rec["n"]})
+    frontier = history[-1] if history else {}
+    return {
+        "scanned": scanned,
+        "bd0_counterexamples": counterexamples,
+        "non_hamiltonian_frontier": {
+            "ratio": frontier.get("ratio"),
+            "graph6": frontier.get("graph6"),
+            "history": history,
+        },
+        "note": ("unbalanced complete bipartite graphs push the "
+                 "non-Hamiltonian eigenratio frontier toward 1/2"),
+    }

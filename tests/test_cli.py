@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from spectough import cli, scan
+from spectough import cli, scan, structures
 from spectough.cli import main
 from spectough.graphs import parse_graph6
 from spectough.scan import ScanConfig, scan_lines
@@ -121,15 +121,18 @@ class TestScan:
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "missing-dir" / "out.jsonl"
         assert main(["scan", str(corpus), "--output", str(out)]) == 2
+        assert main(["hunt", str(corpus), "--output", str(out)]) == 2
         assert calls == []
 
-    @pytest.mark.parametrize("jobs", [
-        1,
-        pytest.param(2, marks=pytest.mark.skipif(
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--jobs", "1"],
+        pytest.param(["scan", "--jobs", "2"], marks=pytest.mark.skipif(
             multiprocessing.get_start_method() != "fork",
             reason="workers see the patched analyzer only when forked")),
-    ])
-    def test_one_bad_graph_keeps_the_rest(self, tmp_path, monkeypatch, jobs):
+        ["hunt"],
+    ], ids=["1", "2", "hunt"])
+    def test_one_bad_graph_keeps_the_rest(self, tmp_path, monkeypatch, capsys,
+                                          argv):
         lines = ["Bg", "Cl", "CF", "Bw"] * 10
         bad = 17
         lines.insert(bad, "Dhc")  # C5, the only line the analyzer fails on
@@ -144,8 +147,12 @@ class TestScan:
         corpus.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "out.jsonl"
         monkeypatch.setattr(scan, "analyze_graph", faulty)
-        assert main(["scan", str(corpus), "--jobs", str(jobs),
+        assert main([argv[0], str(corpus), *argv[1:],
                      "--output", str(out)]) == 3
+        assert "ERROR(ZeroDivisionError) on Dhc: injected" in capsys.readouterr().err
+        if argv[0] == "hunt":
+            assert json.loads(out.read_text())["scanned"] == len(lines)
+            return
         records = [json.loads(row) for row in out.read_text().splitlines()]
         assert [r["graph6"] for r in records] == lines
         assert [r["status"].startswith("ERROR") for r in records].count(True) == 1
@@ -166,28 +173,43 @@ class TestScan:
                 return rec
             return analyze
 
-        argv = ["scan", str(corpus), "--findings-ok"]
-        monkeypatch.setattr(scan, "analyze_graph",
-                            with_status("COUNTEREXAMPLE(bd0)"))
-        assert main(argv[:2]) == 1
-        assert main(argv) == 0
-        monkeypatch.setattr(scan, "analyze_graph", with_status("VIOLATION(bd1)"))
-        assert main(argv) == 1
-        assert "PROVEN BOUND VIOLATED" in capsys.readouterr().err
+        for command in ("scan", "hunt"):
+            argv = [command, str(corpus), "--findings-ok"]
+            monkeypatch.setattr(scan, "analyze_graph",
+                                with_status("COUNTEREXAMPLE(bd0)"))
+            assert main(argv[:2]) == 1
+            assert main(argv) == 0
+            monkeypatch.setattr(scan, "analyze_graph",
+                                with_status("VIOLATION(bd1)"))
+            assert main(argv) == 1
+            assert "PROVEN BOUND VIOLATED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "hunt"])
+    def test_refuted_oracle_is_a_violation(self, tmp_path, monkeypatch, capsys,
+                                           command):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Cl\n")  # C4: its guarantees start with "elementary"
+        monkeypatch.setattr(structures, "verify_guarantee",
+                            lambda *a, **k: False)
+        assert main([command, str(corpus), "--findings-ok"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "PROVEN BOUND VIOLATED" in err[0]
+        assert json.loads(err[1])["status"] == "VIOLATION(elementary)"
 
     def test_peak_rss_flat_in_corpus_length(self, tmp_path):
-        peaks = []
         for count in (1000, 100_000):
-            corpus = tmp_path / f"bw{count}.g6"
-            corpus.write_text("Bw\n" * count)
-            proc = subprocess.run(
-                [sys.executable, "-c", LAUNCHER, sys.executable, "-m",
-                 "spectough", "scan", str(corpus)],
-                capture_output=True, text=True, env=CLI_ENV, check=True)
-            code, peak_kib = map(int, proc.stdout.split())
-            assert code == 0
-            peaks.append(peak_kib / 1024)
-        assert abs(peaks[1] - peaks[0]) < 10, peaks
+            (tmp_path / f"bw{count}.g6").write_text("Bw\n" * count)
+        for command in ("scan", "hunt"):
+            peaks = []
+            for count in (1000, 100_000):
+                proc = subprocess.run(
+                    [sys.executable, "-c", LAUNCHER, sys.executable, "-m",
+                     "spectough", command, str(tmp_path / f"bw{count}.g6")],
+                    capture_output=True, text=True, env=CLI_ENV, check=True)
+                code, peak_kib = map(int, proc.stdout.split())
+                assert code == 0
+                peaks.append(peak_kib / 1024)
+            assert abs(peaks[1] - peaks[0]) < 10, (command, peaks)
 
 
 class TestHunt:
@@ -225,12 +247,32 @@ class TestHunt:
         assert len(drawn) == 5
         assert json.loads(out.read_text())["scanned"] == 5
 
+    def test_corpus_file_skips_bad_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bg\n!!!bad\nCl\n")
+        assert main(["hunt", str(corpus)]) == 0
+        assert json.loads(capsys.readouterr().out)["scanned"] == 3
+
+    def test_frontier_needs_no_search_below_toughness_one(self, capsys,
+                                                          monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("Hamilton search ran")
+
+        # Every K_{s,s+1} has toughness s/(s+1) < 1, so its cut proves it
+        # non-Hamiltonian.
+        monkeypatch.setattr(structures, "has_hamilton_cycle", no_search)
+        assert main(["hunt", "kss1:2..6"]) == 0
+        frontier = json.loads(capsys.readouterr().out)["non_hamiltonian_frontier"]
+        assert frontier["ratio"] == pytest.approx(6 / 13, abs=1e-9)
+        assert len(frontier["history"]) == 5
+
     def test_bad_spec_fails_before_analysis(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(scan, "analyze_graph",
                             lambda *a, **k: calls.append(a))
         assert main(["hunt", "kss1:2..4", "dodecahedron"]) == 2
         assert main(["hunt", "kss1:2", str(tmp_path / "missing.g6")]) == 2
+        assert main(["hunt", "gnp:10,1.5", "kss1:2"]) == 2
         assert calls == []
 
 
