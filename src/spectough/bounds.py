@@ -50,9 +50,6 @@ class CaseFlags:
     case_iii: bool
     case_iv: bool
 
-    def any(self) -> bool:
-        return self.case_i or self.case_ii or self.case_iii or self.case_iv
-
 
 def bound_report(g: Graph, s: Spectrum,
                  cert: ToughnessCertificate | None = None) -> BoundReport:
@@ -130,21 +127,11 @@ def prop32_bounds(s: Spectrum, n: int) -> tuple[float, float]:
 
 
 def _subset_sum_hits(sizes: list[int], target: int) -> bool:
-    """Meet-in-the-middle: does some nonempty subset of sizes sum to target?"""
-    if target <= 0:
-        return False
-    half = len(sizes) // 2
-    left, right = sizes[:half], sizes[half:]
-
-    def sums(part: list[int]) -> set[int]:
-        acc = {0}
-        for v in part:
-            acc |= {s + v for s in acc}
-        return acc
-
-    left_sums = sums(left)
-    right_sums = sums(right)
-    return any(target - s in right_sums for s in left_sums)
+    """Does some nonempty subset of the positive sizes sum to target >= 1?"""
+    sums = {0}
+    for v in sizes:
+        sums |= {s + v for s in sums}
+    return target in sums
 
 
 def detect_prop2_cases(g: Graph, cert: ToughnessCertificate) -> CaseFlags:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import scan as scanmod
-from .errors import CapacityError, Graph6Error
+from .errors import Graph6Error
 from .families import generate_family
 from .graphs import parse_graph6, read_graph6_lines, write_graph6
 from .structures import DEFAULT_ORACLE_CAP
@@ -126,15 +126,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             g = next(generate_family(args.family, seed=args.seed))
         else:
             g = parse_graph6(args.graph6)
-        rec = scanmod.analyze_graph(g, config=_config(args))
-    except (Graph6Error, CapacityError, ValueError) as exc:
+    except (Graph6Error, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(scanmod.record_to_jsonl(rec))
-    else:
-        _pretty(rec, sys.stdout)
-    return EXIT_OK
+    counts: dict[str, int] = {}
+    rec = scanmod.analyze_graph(g, config=_config(args))
+    for rec in _reported("analyze", [rec], counts):
+        if args.format == "json":
+            print(scanmod.record_to_jsonl(rec))
+        else:
+            _pretty(rec, sys.stdout)
+    return _exit_code("analyze", counts, False)
 
 
 def _reported(prog: str, records, counts: dict[str, int]):

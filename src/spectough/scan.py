@@ -39,8 +39,6 @@ CSV_COLUMNS = [
     "graph6", "n", "edges", "mu2", "mun", "delta", "ratio", "toughness",
     "bd0", "bd1", "bd2", "slack0", "slack1", "slack2", "status",
 ]
-# The [a,b]-factor hypotheses every record evaluates.
-AB_PAIRS = ((1, 2), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -84,13 +82,13 @@ def analyze_graph(g: Graph, g6: str | None = None,
         rec["case_flags"] = {"i": flags.case_i, "ii": flags.case_ii,
                              "iii": flags.case_iii, "iv": flags.case_iv}
 
-    items = structures.guarantees(g, spec, ab_pairs=AB_PAIRS)
-    rec["guarantees"] = [_tag(item) for item in items]
+    items = structures.guarantees(g, spec)
+    rec["guarantees"] = [item.tag for item in items]
     for item in items:
         outcome = structures.verify_guarantee(g, item,
                                               oracle_cap=config.cap_oracle)
         if outcome is not None:
-            rec["oracle_results"][_tag(item)] = outcome
+            rec["oracle_results"][item.tag] = outcome
 
     rec["status"] = _status(report, rec["oracle_results"], config)
     return rec
@@ -112,13 +110,6 @@ def _record(g6: str, n: int | None, edges: int | None) -> dict:
         "oracle_results": {},
         "status": None,
     }
-
-
-def _tag(item: structures.Guarantee) -> str:
-    if item.params:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(item.params.items()))
-        return f"{item.name}[{inner}]"
-    return item.name
 
 
 def _status(report: bounds.BoundReport, oracle_results: dict[str, bool],

@@ -99,10 +99,6 @@ class Spectrum:
     tol: float
 
     @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
     def mu2(self) -> float:
         return self.values[1]
 

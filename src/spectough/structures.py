@@ -7,7 +7,8 @@ Guarantee thresholds (ratio = mu2/mun, n = order, non-strict unless noted):
     factor-critical        n odd,  2*mu2 >= mun
     m-extendable           n even, ratio > m/(m+1), m < n/2 - 1   (strict)
     k-factor               n >= k+1, kn even, ratio >= k/(k+1)
-    [a,b]-factor           a < b or bn even, ratio >= 1 - b/(a(b+1))
+    [a,b]-factor           a < b or bn even, ratio >= 1 - b/(a(b+1)),
+                           for each (a, b) in AB_PAIRS
     (1,s)-factor-critical  2 <= s < n, n+s even, ratio > s/(s+2)  (strict)
     spanning tree deg <= k k >= 3, ratio >= 1/(k-1)  (smallest such k emitted)
     k-walk                 implied by the spanning-tree entry
@@ -25,13 +26,15 @@ from typing import Optional
 
 from . import _kernels
 from .errors import CapacityError
-from .graphs import Graph, iter_bits
+from .graphs import Graph, iter_bits, mask_of
 from .spectra import Spectrum
 
 DEFAULT_ORACLE_CAP = 16
 EXTENDABLE_CAP = 12
 FACTOR_CAP = 10
 CRITICAL_CAP = 12
+# The [a,b]-factor hypotheses every guarantee list evaluates.
+AB_PAIRS = ((1, 2), (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +51,7 @@ def has_perfect_matching(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
 
 
 def _pm(adj: tuple[int, ...], unmatched: int) -> bool:
+    """Perfect matching of the subgraph induced by the ``unmatched`` mask."""
     if not unmatched:
         return True
     low = unmatched & -unmatched
@@ -106,12 +110,40 @@ def has_spanning_tree_max_degree(g: Graph, k: int,
 
 
 def has_hamilton_cycle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Deterministic backtracking with degree-2 and connectivity pruning."""
+    """Deterministic backtracking with degree-2 and connectivity pruning.
+
+    A connected bipartite graph with sides of different size is rejected
+    without a search: removing the smaller side leaves more components
+    than it has vertices, so the graph is not 1-tough, and a Hamiltonian
+    graph is (Chvatal, 1973).
+    """
     if g.n < 3:
         raise ValueError("Hamilton cycle needs n >= 3")
     if g.n > cap:
         raise CapacityError(f"Hamilton oracle capped at n={cap}")
+    if _unbalanced_bipartite(g):
+        return False
     return _kernels.hamilton_cycle(g.n, g.adj)
+
+
+def _unbalanced_bipartite(g: Graph) -> bool:
+    """Is g connected and bipartite with sides of different size?  The
+    sides are the even and the odd BFS layers from vertex 0."""
+    sides = [0, 0]
+    seen = frontier = 1
+    depth = 0
+    while frontier:
+        sides[depth % 2] |= frontier
+        reach = 0
+        for v in iter_bits(frontier):
+            reach |= g.adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
+        depth += 1
+    return (seen == g.full_mask
+            and sides[0].bit_count() != sides[1].bit_count()
+            and not any(g.adj[v] & side for side in sides
+                        for v in iter_bits(side)))
 
 
 def is_m_extendable(g: Graph, m: int, cap: int = EXTENDABLE_CAP) -> bool:
@@ -134,12 +166,8 @@ def is_m_extendable(g: Graph, m: int, cap: int = EXTENDABLE_CAP) -> bool:
             if not used & muv:
                 yield from matchings(i + 1, used | muv, size + 1)
 
-    for used in matchings(0, 0, 0):
-        rest = g.full_mask & ~used
-        sub = _induced(g, rest)
-        if not has_perfect_matching(sub, cap=cap):
-            return False
-    return True
+    return all(_pm(g.adj, g.full_mask & ~used)
+               for used in matchings(0, 0, 0))
 
 
 def has_factor(g: Graph, a: int, b: int, cap: int = FACTOR_CAP) -> bool:
@@ -192,24 +220,8 @@ def is_1s_factor_critical(g: Graph, s: int, cap: int = CRITICAL_CAP) -> bool:
         raise ValueError("n + s must be even")
     if g.n > cap:
         raise CapacityError(f"factor-critical oracle capped at n={cap}")
-    for combo in combinations(range(g.n), s):
-        removed = 0
-        for v in combo:
-            removed |= 1 << v
-        sub = _induced(g, g.full_mask & ~removed)
-        if not has_perfect_matching(sub, cap=cap):
-            return False
-    return True
-
-
-def _induced(g: Graph, keep: int) -> Graph:
-    verts = list(iter_bits(keep))
-    index = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for v in verts:
-        for u in iter_bits(g.adj[v] & keep):
-            masks[index[v]] |= 1 << index[u]
-    return Graph.from_adj_masks(masks)
+    return all(_pm(g.adj, g.full_mask & ~mask_of(combo))
+               for combo in combinations(range(g.n), s))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +234,20 @@ class Guarantee:
 
     name: str
     params: dict = field(default_factory=dict)
-    met: bool = True
-    source: str = ""
     oracle: Optional[str] = None  # None = emitted but not desk-verifiable
 
+    @property
+    def tag(self) -> str:
+        """Name plus sorted params, e.g. ``k-factor[k=2]``."""
+        if self.params:
+            inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+            return f"{self.name}[{inner}]"
+        return self.name
 
-def guarantees(g: Graph, s: Spectrum,
-               ab_pairs: tuple[tuple[int, int], ...] = ()) -> list[Guarantee]:
+
+def guarantees(g: Graph, s: Spectrum) -> list[Guarantee]:
     """Every structural guarantee whose eigenratio hypothesis holds.
 
-    ``ab_pairs`` selects which [a,b]-factor hypotheses to evaluate.
     Disconnected input is rejected: the guarantees would be vacuous.
     """
     if g.edge_count == 0 or not g.is_connected():
@@ -243,48 +259,40 @@ def guarantees(g: Graph, s: Spectrum,
 
     half = 2.0 * s.mu2 >= s.mun - tol
     if n % 2 == 0 and half:
-        out.append(Guarantee("elementary", {}, True,
-                             "even-order-half-ratio", oracle="perfect-matching"))
+        out.append(Guarantee("elementary", {}, "perfect-matching"))
     if n % 2 == 1 and half:
-        out.append(Guarantee("factor-critical", {}, True,
-                             "odd-order-half-ratio", oracle="(1,1)-critical"))
+        out.append(Guarantee("factor-critical", {}, "(1,1)-critical"))
 
     if n % 2 == 0:
         m = 1
         while m < n // 2 - 1 and ratio > m / (m + 1) + tol:
-            out.append(Guarantee("m-extendable", {"m": m}, True,
-                                 "ratio>m/(m+1)", oracle="m-extendable"))
+            out.append(Guarantee("m-extendable", {"m": m}, "m-extendable"))
             m += 1
 
     k = 1
     while k <= n - 1 and ratio >= k / (k + 1) - tol:
         if (k * n) % 2 == 0:
-            out.append(Guarantee("k-factor", {"k": k}, True,
-                                 "ratio>=k/(k+1)", oracle="k-factor"))
+            out.append(Guarantee("k-factor", {"k": k}, "k-factor"))
         k += 1
 
-    for a, b in ab_pairs:
-        if not 1 <= a <= b:
-            raise ValueError("requested [a,b] pair needs 1 <= a <= b")
+    for a, b in AB_PAIRS:
         if (a < b or (b * n) % 2 == 0) and ratio >= 1.0 - b / (a * (b + 1)) - tol:
-            out.append(Guarantee("ab-factor", {"a": a, "b": b}, True,
-                                 "ratio>=1-b/(a(b+1))", oracle="ab-factor"))
+            out.append(Guarantee("ab-factor", {"a": a, "b": b}, "ab-factor"))
 
     for step in range(2, n):
         if (n + step) % 2 == 0 and ratio > step / (step + 2) + tol:
-            out.append(Guarantee("(1,s)-factor-critical", {"s": step}, True,
-                                 "ratio>s/(s+2)", oracle="(1,s)-critical"))
+            out.append(Guarantee("(1,s)-factor-critical", {"s": step},
+                                 "(1,s)-critical"))
 
     if ratio > tol:
         k_tree = max(3, math.ceil(1.0 + 1.0 / ratio - tol))
         if ratio >= 1.0 / (k_tree - 1) - tol:
-            out.append(Guarantee("spanning-tree-max-degree", {"k": k_tree}, True,
-                                 "ratio>=1/(k-1)", oracle="spanning-tree"))
-            out.append(Guarantee("k-walk", {"k": k_tree}, True,
-                                 "via-spanning-tree", oracle=None))
+            out.append(Guarantee("spanning-tree-max-degree", {"k": k_tree},
+                                 "spanning-tree"))
+            out.append(Guarantee("k-walk", {"k": k_tree}))
 
     if ratio >= 0.8 - tol:
-        out.append(Guarantee("2-walk", {}, True, "ratio>=4/5", oracle=None))
+        out.append(Guarantee("2-walk"))
 
     return out
 

@@ -33,10 +33,6 @@ class ToughnessCertificate:
     c: int = 0
     value: Fraction | None = None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == FINITE
-
     def value_str(self) -> str:
         if self.kind == INFINITE:
             return "inf"

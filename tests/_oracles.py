@@ -11,7 +11,7 @@ from itertools import combinations
 
 from spectough.errors import CapacityError
 from spectough.graphs import Graph, components_after_removal, iter_bits, mask_of
-from spectough.structures import DEFAULT_ORACLE_CAP
+from spectough.structures import DEFAULT_ORACLE_CAP, has_factor
 from spectough.toughness import FINITE, INFINITE, ZERO, ToughnessCertificate
 
 
@@ -72,3 +72,26 @@ def has_hamilton_path(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
                    for u in iter_bits(g.adj[v] & ~visited))
 
     return any(extend(s, 1 << s) for s in range(g.n))
+
+
+def _perfect_matching_without(g: Graph, removed: int) -> bool:
+    """Relabel G minus ``removed`` as a new graph and ask the edge
+    backtracker for a 1-factor (no bitset matching search involved)."""
+    kept = [v for v in range(g.n) if not removed >> v & 1]
+    index = {v: i for i, v in enumerate(kept)}
+    sub = Graph.from_edges(len(index), [(index[u], index[v])
+                                        for u, v in g.edges()
+                                        if u in index and v in index])
+    return has_factor(sub, 1, 1)
+
+
+def is_1_extendable(g: Graph) -> bool:
+    """Every edge uv lies in a perfect matching: G - u - v has one."""
+    return all(_perfect_matching_without(g, (1 << u) | (1 << v))
+               for u, v in g.edges())
+
+
+def is_1s_factor_critical(g: Graph, s: int) -> bool:
+    """G minus every s-subset of vertices has a perfect matching."""
+    return all(_perfect_matching_without(g, mask_of(combo))
+               for combo in combinations(range(g.n), s))

@@ -1,11 +1,13 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectough.bounds import (bound_report, detect_prop2_cases,
-                              independence_upper_bound, prop32_bounds,
+from spectough.bounds import (_subset_sum_hits, bound_report,
+                              detect_prop2_cases, independence_upper_bound,
+                              prop32_bounds,
                               separation_verify, toughness_from_ratio)
 from spectough.errors import NotApplicableError
 from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
@@ -168,3 +170,12 @@ class TestToughnessFromRatio:
             toughness_from_ratio(1.0)
         with pytest.raises(ValueError):
             toughness_from_ratio(-0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 14), max_size=8),
+       target=st.integers(1, 30))
+def test_subset_sum_matches_combinations(sizes, target):
+    expected = any(sum(c) == target for r in range(1, len(sizes) + 1)
+                   for c in combinations(sizes, r))
+    assert _subset_sum_hits(sizes, target) == expected

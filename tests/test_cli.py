@@ -60,6 +60,26 @@ class TestAnalyze:
         proc = run_cli("analyze", "Bw", "--family", "petersen")
         assert proc.returncode == 2
 
+    def test_violation_exits_1(self, monkeypatch, capsys):
+        real = scan.analyze_graph
+
+        def violated(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            rec["status"] = "VIOLATION(bd1)"
+            return rec
+
+        monkeypatch.setattr(scan, "analyze_graph", violated)
+        assert main(["analyze", "Cl", "--format", "json"]) == 1
+        assert "PROVEN BOUND VIOLATED" in capsys.readouterr().err
+
+    def test_internal_value_error_exits_3(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(scan, "analyze_graph", broken)
+        assert main(["analyze", "Cl"]) == 3
+        assert "internal error: injected" in capsys.readouterr().err
+
 
 class TestScan:
     def test_small_corpus(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spectough import structures
+from spectough._kernels import _ref
 from spectough.errors import CapacityError
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
@@ -11,6 +13,7 @@ from spectough.structures import (guarantees, has_factor, has_hamilton_cycle,
                                   has_spanning_tree_max_degree,
                                   is_1s_factor_critical, is_m_extendable,
                                   verify_guarantee)
+from tests import _oracles
 from tests._oracles import has_hamilton_path
 
 
@@ -79,6 +82,25 @@ class TestHamiltonCycle:
         with pytest.raises(CapacityError):
             has_hamilton_cycle(cycle(17))
 
+    def test_unbalanced_bipartite_needs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("Hamilton kernel ran")
+
+        monkeypatch.setattr(structures._kernels, "hamilton_cycle", no_search)
+        for sizes in ([6, 7], [7, 8]):
+            assert not has_hamilton_cycle(complete_multipartite(sizes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 10), seed=st.integers(0, 2**32),
+           split=st.integers(0, 10), p=st.sampled_from([0.3, 0.5, 0.8]))
+    def test_matches_reference_kernel(self, n, seed, split, p):
+        g = gnp(n, p, seed)
+        if split:  # keep only the edges across a cut: a bipartite graph
+            side = (1 << min(split, n - 1)) - 1
+            g = Graph.from_edges(n, [(u, v) for u, v in g.edges()
+                                     if (side >> u & 1) != (side >> v & 1)])
+        assert has_hamilton_cycle(g) == _ref.hamilton_cycle(g.n, g.adj)
+
 
 class TestExtendable:
     def test_c6(self):
@@ -94,6 +116,13 @@ class TestExtendable:
     def test_not_extendable(self):
         # C8 has the matching {0-1, 3-4} that leaves no perfect matching
         assert not is_m_extendable(cycle(8), 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([6, 8, 10]), seed=st.integers(0, 2**32),
+           p=st.sampled_from([0.4, 0.6, 0.8]))
+    def test_m1_matches_brute_force(self, n, seed, p):
+        g = gnp(n, p, seed)
+        assert is_m_extendable(g, 1) == _oracles.is_1_extendable(g)
 
 
 class TestFactors:
@@ -139,6 +168,15 @@ class TestFactorCritical:
         with pytest.raises(ValueError):
             is_1s_factor_critical(cycle(5), 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 10), s=st.integers(1, 9),
+           seed=st.integers(0, 2**32), p=st.sampled_from([0.4, 0.6, 0.8]))
+    def test_matches_brute_force(self, n, s, seed, p):
+        assume(s < n and (n + s) % 2 == 0)
+        g = gnp(n, p, seed)
+        assert (is_1s_factor_critical(g, s)
+                == _oracles.is_1s_factor_critical(g, s))
+
 
 class TestGuarantees:
     def test_c4(self):
@@ -180,7 +218,7 @@ class TestGuarantees:
 
     def test_ab_pairs(self):
         g = petersen()  # ratio 0.4 >= 1 - 2/3
-        items = guarantees(g, spectrum(g), ab_pairs=((1, 2),))
+        items = guarantees(g, spectrum(g))
         assert any(it.name == "ab-factor" and it.params == {"a": 1, "b": 2}
                    for it in items)
 
@@ -192,6 +230,6 @@ class TestGuarantees:
     def test_verify_emitted_guarantees_small(self):
         for g in (cycle(4), cycle(6), petersen(), petersen().complement(),
                   complete_multipartite([2, 2, 2])):
-            for item in guarantees(g, spectrum(g), ab_pairs=((1, 2), (2, 3))):
+            for item in guarantees(g, spectrum(g)):
                 outcome = verify_guarantee(g, item)
                 assert outcome is not False, (g, item)
