@@ -123,11 +123,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         if args.family:
-            g = next(generate_family(args.family, seed=args.seed))
+            g = next(generate_family(args.family, seed=args.seed), None)
         else:
             g = parse_graph6(args.graph6)
     except (Graph6Error, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if g is None:
+        print(f"analyze: family spec {args.family!r} yields no graph",
+              file=sys.stderr)
         return EXIT_USAGE
     counts: dict[str, int] = {}
     rec = scanmod.analyze_graph(g, config=_config(args))
@@ -227,22 +231,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     spec = args.family
     if args.params:
         spec += ":" + ",".join(args.params)
-    try:
-        lines = [write_graph6(g)
-                 for g in generate_family(spec, seed=args.seed, count=args.count)]
-    except (ValueError, Graph6Error) as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write("".join(line + "\n" for line in lines))
-        else:
-            for line in lines:
-                print(line)
-    except OSError as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with contextlib.ExitStack() as stack:
+        try:
+            out = (stack.enter_context(open(args.output, "w"))
+                   if args.output else sys.stdout)
+            for g in generate_family(spec, seed=args.seed, count=args.count):
+                out.write(write_graph6(g) + "\n")
+        except (OSError, ValueError, Graph6Error) as exc:
+            print(f"gen: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

@@ -144,11 +144,9 @@ def components_after_removal(g: Graph, removed: int = 0) -> list[int]:
 
 def parse_graph6(text: str, cap: int = GRAPH6_MAX_N) -> Graph:
     """Decode one short-form graph6 line into a Graph."""
-    s = text.strip()
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise Graph6Error("empty graph6 string")
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:

@@ -2,7 +2,9 @@
 
 One record per graph aggregates: spectrum summary, the three bounds,
 the exact toughness certificate, case flags at the extremal cut,
-eigenratio guarantees with oracle cross-checks, and a status:
+eigenratio guarantees with oracle cross-checks, and a status.  The
+status is decided in one place, ``_status``, from the finished record
+and the floor-rounded toughness:
 
     OK                  all bounds satisfied with room to spare
     NEAR-TIGHT          some slack within 1e-6 (tight or nearly-tight case)
@@ -62,25 +64,22 @@ def analyze_graph(g: Graph, g6: str | None = None,
         return rec
 
     spec = spectrum(g)
-    cert = None
+    rec.update(bounds.bound_report(g, spec))
+    t = None
     if not config.no_toughness and g.n <= config.cap_toughness:
         cert = toughness.exact_toughness(g, cap=config.cap_toughness)
-    report = bounds.bound_report(g, spec, cert)
-    rec.update(mu2=report.mu2, mun=report.mun, delta=report.delta,
-               ratio=report.ratio, bd0=report.bd0, bd1=report.bd1,
-               bd2=report.bd2, slack0=report.slack0, slack1=report.slack1,
-               slack2=report.slack2)
-
-    if cert is not None:
-        rec["toughness"] = cert.value_str()
-        rec["certificate"] = {
-            "S": sorted(v for v in range(g.n) if cert.s_mask >> v & 1),
-            "c": cert.c,
-            "value": cert.value_str(),
-        }
-        flags = bounds.detect_prop2_cases(g, cert)
-        rec["case_flags"] = {"i": flags.case_i, "ii": flags.case_ii,
-                             "iii": flags.case_iii, "iv": flags.case_iv}
+        t = cert.value_float_floor()
+        value = cert.value_str()
+        rec.update(
+            toughness=value,
+            slack0=t - rec["bd0"], slack1=t - rec["bd1"],
+            slack2=t - rec["bd2"],
+            certificate={
+                "S": sorted(v for v in range(g.n) if cert.s_mask >> v & 1),
+                "c": cert.c,
+                "value": value,
+            },
+            case_flags=bounds.detect_prop2_cases(g, cert))
 
     items = structures.guarantees(g, spec)
     rec["guarantees"] = [item.tag for item in items]
@@ -90,7 +89,7 @@ def analyze_graph(g: Graph, g6: str | None = None,
         if outcome is not None:
             rec["oracle_results"][item.tag] = outcome
 
-    rec["status"] = _status(report, rec["oracle_results"], config)
+    rec["status"] = _status(rec, t, config)
     return rec
 
 
@@ -112,24 +111,26 @@ def _record(g6: str, n: int | None, edges: int | None) -> dict:
     }
 
 
-def _status(report: bounds.BoundReport, oracle_results: dict[str, bool],
-            config: ScanConfig) -> str:
-    t = (None if report.toughness is None
-         else report.toughness.value_float_floor())
-    for name, bound in (("bd1", report.bd1), ("bd2", report.bd2)):
-        if t is not None and t + bounds.VIOLATION_SLACK < bound:
+# A bound "fails" only if the (floor-rounded) exact toughness plus this
+# absolute slack is still below the float bound.
+VIOLATION_SLACK = 1e-6
+
+
+def _status(rec: dict, t: float | None, config: ScanConfig) -> str:
+    """The verdict, from the record's bounds, slacks and oracle results
+    and the floor-rounded toughness t (None when it was not computed)."""
+    for name in ("bd1", "bd2"):
+        if t is not None and t + VIOLATION_SLACK < rec[name]:
             return f"VIOLATION({name})"
-    refuted = [tag for tag, ok in oracle_results.items() if not ok]
+    refuted = [tag for tag, ok in rec["oracle_results"].items() if not ok]
     if refuted:
         return f"VIOLATION({refuted[0]})"
     if t is None:
         return ("UNCHECKED(no-toughness)" if config.no_toughness
                 else "UNCHECKED(cap)")
-    if t + bounds.VIOLATION_SLACK < report.bd0:
+    if t + VIOLATION_SLACK < rec["bd0"]:
         return "COUNTEREXAMPLE(bd0)"
-    slacks = [s for s in (report.slack0, report.slack1, report.slack2)
-              if s is not None and s != float("inf")]
-    if slacks and min(slacks) <= bounds.VIOLATION_SLACK:
+    if min(rec["slack0"], rec["slack1"], rec["slack2"]) <= VIOLATION_SLACK:
         return "NEAR-TIGHT"
     return "OK"
 

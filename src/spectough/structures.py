@@ -254,7 +254,7 @@ def guarantees(g: Graph, s: Spectrum) -> list[Guarantee]:
         raise ValueError("guarantees need a connected graph with an edge")
     n = g.n
     tol = s.tol
-    ratio = s.mu2 / s.mun
+    ratio = s.ratio
     out: list[Guarantee] = []
 
     half = 2.0 * s.mu2 >= s.mun - tol

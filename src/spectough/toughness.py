@@ -1,5 +1,4 @@
-"""Exact toughness with certificates, plus the component-partition step
-used by the cut-separation argument.
+"""Exact toughness with certificates.
 
 The toughness value is kept as an exact Fraction everywhere; it is only
 turned into a float (rounded one ulp toward -inf) when compared against
@@ -11,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import _kernels
-from .errors import CapacityError, NotApplicableError
+from .errors import CapacityError
 from .graphs import Graph
 
 DEFAULT_TOUGHNESS_CAP = 14
@@ -34,12 +32,7 @@ class ToughnessCertificate:
     value: Fraction | None = None
 
     def value_str(self) -> str:
-        if self.kind == INFINITE:
-            return "inf"
-        if self.kind == ZERO:
-            return "0"
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return "inf" if self.kind == INFINITE else str(self.value)
 
     def value_float_floor(self) -> float:
         """Float value rounded one ulp toward -inf (conservative for bound checks)."""
@@ -85,35 +78,3 @@ def is_r_tough(g: Graph, r: Fraction | int,
     if cert.kind == ZERO:
         return r == 0
     return cert.value >= r
-
-
-def proof_partition(component_sizes: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split components H_1 <= ... <= H_c into X, Y with |Y| >= |X| >= c/2.
-
-    ``component_sizes`` must be ascending with c >= 2.  Returns 1-based
-    component indices.  The all-singleton odd-c case has no such split
-    and is signalled as not applicable (that case is covered by the
-    independent-set route instead).
-    """
-    sizes = list(component_sizes)
-    c = len(sizes)
-    if c < 2:
-        raise ValueError("need at least two components")
-    if any(s < 1 for s in sizes):
-        raise ValueError("component sizes must be positive")
-    if sizes != sorted(sizes):
-        raise ValueError("component sizes must be ascending")
-    if c % 2 == 1 and all(s == 1 for s in sizes):
-        raise NotApplicableError(
-            "odd number of singleton components: no balanced split exists")
-    if c % 2 == 0:
-        split = c // 2
-    elif sizes[(c - 1) // 2 - 1] >= 2:
-        split = (c - 1) // 2
-    else:
-        split = (c + 1) // 2
-    x = tuple(range(1, split + 1))
-    y = tuple(range(split + 1, c + 1))
-    if sum(sizes[i - 1] for i in x) > sum(sizes[i - 1] for i in y):
-        x, y = y, x
-    return x, y

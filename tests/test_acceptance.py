@@ -8,21 +8,22 @@ graphs n <= 10, and seeded random graphs n in 5..12.
 
 from __future__ import annotations
 
-import math
+import hashlib
 import time
 from fractions import Fraction
 
 import pytest
 
-from spectough.bounds import (bound_report, detect_prop2_cases,
-                              independence_upper_bound, separation_verify)
+from spectough.bounds import bound_report
 from spectough.errors import NotApplicableError
 from spectough.graphs import (complete_multipartite, components_after_removal,
                               cycle, parse_graph6, petersen)
-from spectough.scan import ScanConfig, analyze_graph
+from spectough.scan import record_to_jsonl
 from spectough.spectra import spectrum
 from spectough.structures import has_hamilton_cycle
-from spectough.toughness import exact_toughness, proof_partition
+from spectough.toughness import exact_toughness
+from tests._lemmas import (independence_upper_bound, proof_partition,
+                           separation_verify)
 from tests._oracles import exhaustive_toughness, max_independent_set_size
 from tests.conftest import CLI_ENV, partitions
 
@@ -40,10 +41,10 @@ def test_01_petersen_fixture():
     assert s.mun == pytest.approx(5, abs=1e-9)
     cert = exact_toughness(g)
     assert cert.value == Fraction(4, 3)
-    r = bound_report(g, s, cert)
-    assert r.bd0 == pytest.approx(1.0, abs=1e-9)
-    assert r.bd1 == pytest.approx(0.5, abs=1e-9)
-    assert r.bd2 == pytest.approx(2 / 3, abs=1e-9)
+    r = bound_report(g, s)
+    assert r["bd0"] == pytest.approx(1.0, abs=1e-9)
+    assert r["bd1"] == pytest.approx(0.5, abs=1e-9)
+    assert r["bd2"] == pytest.approx(2 / 3, abs=1e-9)
     assert time.monotonic() - start < 1.0
     report(1, "petersen fixture")
 
@@ -53,10 +54,10 @@ def test_02_petersen_complement_fixture():
     g = petersen().complement()
     cert = exact_toughness(g)
     assert cert.value == Fraction(3)
-    r = bound_report(g, spectrum(g), cert)
-    assert r.bd0 == pytest.approx(2.5, abs=1e-9)
-    assert r.bd1 == pytest.approx(2.0, abs=1e-9)
-    assert r.bd2 == pytest.approx(5 / 3, abs=1e-9)
+    r = bound_report(g, spectrum(g))
+    assert r["bd0"] == pytest.approx(2.5, abs=1e-9)
+    assert r["bd1"] == pytest.approx(2.0, abs=1e-9)
+    assert r["bd2"] == pytest.approx(5 / 3, abs=1e-9)
     assert time.monotonic() - start < 1.0
     report(2, "petersen complement fixture")
 
@@ -76,9 +77,9 @@ def test_03_multipartite_tightness():
             assert s.mu2 == pytest.approx(n - n1, abs=1e-9), sizes
             assert g.min_degree() == n - n1
             t = (n - n1) / n1
-            r = bound_report(g, s, cert)
-            for bd in (r.bd0, r.bd1, r.bd2):
-                assert bd == pytest.approx(t, abs=1e-6), sizes
+            r = bound_report(g, s)
+            for name in ("bd0", "bd1", "bd2"):
+                assert r[name] == pytest.approx(t, abs=1e-6), sizes
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
     report(3, f"multipartite tightness ({elapsed:.1f}s)")
@@ -209,3 +210,17 @@ def test_12_scan_determinism(tmp_path, corpus):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     report(12, "scan determinism across worker counts", outs[0] == outs[1])
+
+
+# SHA-256 of the corpus records as scan writes them.  A change that means
+# to alter records updates this pin and says why; any other change must
+# leave every byte of the stream as it was, on both kernel backends.
+RECORD_STREAM_SHA256 = (
+    "d5114db36e307ad379464b4bde0a48cf887136c4622ccf89e83b2f526c560acf")
+
+
+def test_13_record_stream_pinned(corpus_records):
+    stream = "".join(record_to_jsonl(r) + "\n" for r in corpus_records)
+    digest = hashlib.sha256(stream.encode()).hexdigest()
+    report(13, f"record stream of {len(corpus_records)} graphs is pinned",
+           digest == RECORD_STREAM_SHA256)

@@ -5,47 +5,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectough.bounds import (_subset_sum_hits, bound_report,
-                              detect_prop2_cases, independence_upper_bound,
-                              prop32_bounds,
-                              separation_verify, toughness_from_ratio)
+from spectough.bounds import _subset_sum_hits, bound_report, detect_prop2_cases
 from spectough.errors import NotApplicableError
 from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
                               mask_of, path, petersen)
+from spectough.scan import analyze_graph
 from spectough.spectra import spectrum
 from spectough.toughness import exact_toughness
+from tests._lemmas import (independence_upper_bound, prop32_bounds,
+                           separation_verify, toughness_from_ratio)
 
 
 class TestBoundReport:
     def test_petersen(self):
         g = petersen()
-        r = bound_report(g, spectrum(g), exact_toughness(g))
-        assert r.bd0 == pytest.approx(1.0, abs=1e-9)
-        assert r.bd1 == pytest.approx(0.5, abs=1e-9)
-        assert r.bd2 == pytest.approx(2 / 3, abs=1e-9)
-        assert r.slack1 > 0 and r.slack2 > 0
+        r = bound_report(g, spectrum(g))
+        assert r["bd0"] == pytest.approx(1.0, abs=1e-9)
+        assert r["bd1"] == pytest.approx(0.5, abs=1e-9)
+        assert r["bd2"] == pytest.approx(2 / 3, abs=1e-9)
+        rec = analyze_graph(g)
+        assert rec["slack1"] > 0 and rec["slack2"] > 0
 
     def test_petersen_complement(self):
         g = petersen().complement()
-        r = bound_report(g, spectrum(g), exact_toughness(g))
-        assert r.bd0 == pytest.approx(2.5, abs=1e-9)
-        assert r.bd1 == pytest.approx(2.0, abs=1e-9)
-        assert r.bd2 == pytest.approx(5 / 3, abs=1e-9)
-        assert r.toughness.value_str() == "3"
+        r = bound_report(g, spectrum(g))
+        assert r["bd0"] == pytest.approx(2.5, abs=1e-9)
+        assert r["bd1"] == pytest.approx(2.0, abs=1e-9)
+        assert r["bd2"] == pytest.approx(5 / 3, abs=1e-9)
+        assert analyze_graph(g)["toughness"] == "3"
 
     def test_star_all_tight(self):
         g = complete_multipartite([3, 1])
-        r = bound_report(g, spectrum(g), exact_toughness(g))
+        r = bound_report(g, spectrum(g))
         third = 1 / 3
-        for bd in (r.bd0, r.bd1, r.bd2):
-            assert bd == pytest.approx(third, abs=1e-9)
-        for slack in (r.slack0, r.slack1, r.slack2):
-            assert abs(slack) <= 1e-6
+        for name in ("bd0", "bd1", "bd2"):
+            assert r[name] == pytest.approx(third, abs=1e-9)
+        rec = analyze_graph(g)
+        for name in ("slack0", "slack1", "slack2"):
+            assert abs(rec[name]) <= 1e-6
 
     def test_complete_graph_total(self):
         g = complete(4)
-        r = bound_report(g, spectrum(g), exact_toughness(g))
-        assert math.isinf(r.bd2) and math.isinf(r.slack0)
+        assert math.isinf(bound_report(g, spectrum(g))["bd2"])
 
     def test_empty_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -59,9 +60,9 @@ class TestBoundReport:
             return
         s = spectrum(g)
         r = bound_report(g, s)
-        assert r.bd0 >= max(r.bd1, r.bd2) - 1e-9
+        assert r["bd0"] >= max(r["bd1"], r["bd2"]) - 1e-9
         if not g.complement().is_connected():
-            assert r.bd0 == pytest.approx(r.bd1, abs=1e-8)
+            assert r["bd0"] == pytest.approx(r["bd1"], abs=1e-8)
 
 
 class TestIndependenceBound:
@@ -138,22 +139,19 @@ class TestCaseDetection:
     def test_c4(self):
         g = cycle(4)
         flags = detect_prop2_cases(g, exact_toughness(g))
-        assert (flags.case_i, flags.case_ii, flags.case_iii, flags.case_iv) \
-            == (True, True, True, True)
+        assert flags == {"i": True, "ii": True, "iii": True, "iv": True}
 
     def test_star(self):
         g = complete_multipartite([3, 1])
         flags = detect_prop2_cases(g, exact_toughness(g))
-        assert (flags.case_i, flags.case_ii, flags.case_iii, flags.case_iv) \
-            == (True, True, False, False)
+        assert flags == {"i": True, "ii": True, "iii": False, "iv": False}
 
     def test_p3(self):
         # complement of P3 is one edge plus an isolated vertex: disconnected,
         # so case (i) holds (consistent with mun(P3) = 3 = n)
         g = path(3)
         flags = detect_prop2_cases(g, exact_toughness(g))
-        assert (flags.case_i, flags.case_ii, flags.case_iii, flags.case_iv) \
-            == (True, True, True, True)
+        assert flags == {"i": True, "ii": True, "iii": True, "iv": True}
 
     def test_needs_finite_certificate(self):
         with pytest.raises(NotApplicableError):

@@ -52,9 +52,11 @@ class TestAnalyze:
             assert abs(rec[key]) <= 1e-6
 
     def test_bad_input_exits_2(self):
-        proc = run_cli("analyze", "~~~")
-        assert proc.returncode == 2
-        assert proc.stderr.strip()
+        for argv in (["~~~"], [">>graph6<<"], ["--family", "cycle:5..3"]):
+            proc = run_cli("analyze", *argv)
+            assert proc.returncode == 2, argv
+            assert proc.stderr.strip(), argv
+            assert "internal error" not in proc.stderr, argv
 
     def test_both_inputs_is_usage_error(self):
         proc = run_cli("analyze", "Bw", "--family", "petersen")
@@ -96,12 +98,12 @@ class TestScan:
 
     def test_complete_and_malformed_lines(self, tmp_path):
         corpus = tmp_path / "c.g6"
-        corpus.write_text("Bw\n!!!bad\n")
+        corpus.write_text("Bw\n!!!bad\n>>graph6<<\nCl\n")
         out = tmp_path / "out.jsonl"
         assert main(["scan", str(corpus), "--output", str(out)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert records[0]["status"] == "SKIPPED(complete)"
-        assert records[1]["status"] == "SKIPPED(parse)"
+        assert [r["status"] for r in records] == [
+            "SKIPPED(complete)", "SKIPPED(parse)", "SKIPPED(parse)", "NEAR-TIGHT"]
 
     def test_missing_file(self):
         proc = run_cli("scan", "/nonexistent/corpus.g6")
@@ -139,9 +141,12 @@ class TestScan:
         calls = []
         monkeypatch.setattr(scan, "analyze_graph",
                             lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "generate_family",
+                            lambda *a, **k: calls.append(a) or iter(()))
         out = tmp_path / "missing-dir" / "out.jsonl"
         assert main(["scan", str(corpus), "--output", str(out)]) == 2
         assert main(["hunt", str(corpus), "--output", str(out)]) == 2
+        assert main(["gen", "cycle", "3..6", "--output", str(out)]) == 2
         assert calls == []
 
     @pytest.mark.parametrize("argv", [
@@ -269,9 +274,9 @@ class TestHunt:
 
     def test_corpus_file_skips_bad_lines(self, tmp_path, capsys):
         corpus = tmp_path / "c.g6"
-        corpus.write_text("Bg\n!!!bad\nCl\n")
+        corpus.write_text("Bg\n!!!bad\n>>graph6<<\nCl\n")
         assert main(["hunt", str(corpus)]) == 0
-        assert json.loads(capsys.readouterr().out)["scanned"] == 3
+        assert json.loads(capsys.readouterr().out)["scanned"] == 4
 
     def test_frontier_needs_no_search_below_toughness_one(self, capsys,
                                                           monkeypatch):

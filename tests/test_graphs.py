@@ -45,8 +45,9 @@ class TestGraph6Parse:
             parse_graph6("~??~?????")
 
     def test_empty(self):
-        with pytest.raises(Graph6Error):
-            parse_graph6("   ")
+        for text in ("   ", ">>graph6<<", ">>graph6<< "):
+            with pytest.raises(Graph6Error):
+                parse_graph6(text)
 
     @settings(max_examples=200, deadline=None)
     @given(head=st.text(GRAPH6_CHARS), tail=st.text(GRAPH6_CHARS),

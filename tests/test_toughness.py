@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from spectough.errors import CapacityError, NotApplicableError
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
-from spectough.toughness import exact_toughness, is_r_tough, proof_partition
+from spectough.toughness import exact_toughness, is_r_tough
+from tests._lemmas import proof_partition
 from tests._oracles import exhaustive_toughness
 from tests.conftest import partitions
 
