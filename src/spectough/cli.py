@@ -2,40 +2,44 @@
 
 Exit codes: 0 clean, 1 findings (counterexample or violation), 2 usage,
 3 internal error (for scan and hunt: any ERROR record, after every record
-is analyzed).  --findings-ok waives only bd0 counterexamples: a violation
-of a proven bound or guarantee is a software bug and always exits 1.
+is analyzed), 141 when the reader closes stdout early (as in
+``spectough scan big.g6 | head``): the run stops quietly with the status
+of a process killed by SIGPIPE.  --findings-ok waives only bd0
+counterexamples: a violation of a proven bound or guarantee is a software
+bug and always exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import itertools
 import json
+import os
 import sys
 
 from . import scan as scanmod
 from .errors import Graph6Error
 from .families import generate_family
 from .graphs import parse_graph6, read_graph6_lines, write_graph6
-from .structures import DEFAULT_ORACLE_CAP
-from .toughness import DEFAULT_TOUGHNESS_CAP
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap-toughness", type=int, default=DEFAULT_TOUGHNESS_CAP,
-                   help="max n for the exact toughness search "
-                        f"(default {DEFAULT_TOUGHNESS_CAP})")
-    p.add_argument("--cap-oracle", type=int, default=DEFAULT_ORACLE_CAP,
+    defaults = scanmod.ScanConfig()
+    p.add_argument("--cap-toughness", type=int,
+                   default=defaults.cap_toughness,
+                   help="max n for the exact toughness search; 0 skips it "
+                        f"(default {defaults.cap_toughness})")
+    p.add_argument("--cap-oracle", type=int, default=defaults.cap_oracle,
                    help="max n for combinatorial oracles "
-                        f"(default {DEFAULT_ORACLE_CAP})")
-    p.add_argument("--no-toughness", action="store_true",
-                   help="skip the exponential toughness search and slacks")
+                        f"(default {defaults.cap_oracle})")
 
 
 def _add_findings_ok(p: argparse.ArgumentParser) -> None:
@@ -90,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> scanmod.ScanConfig:
     return scanmod.ScanConfig(cap_toughness=args.cap_toughness,
-                              cap_oracle=args.cap_oracle,
-                              no_toughness=args.no_toughness)
+                              cap_oracle=args.cap_oracle)
 
 
 def _pretty(rec: dict, out) -> None:
@@ -189,9 +192,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         records = scanmod.scan_lines(corpus, config=_config(args),
                                      jobs=args.jobs)
+        write_csv = csv.writer(out, lineterminator="\n").writerow
         for rec in _reported("scan", records, counts):
             if args.format == "csv":
-                out.write(scanmod.record_to_csv_row(rec) + "\n")
+                write_csv(scanmod.record_to_csv_fields(rec))
             else:
                 out.write(scanmod.record_to_jsonl(rec) + "\n")
     return _exit_code("scan", counts, args.findings_ok)
@@ -237,6 +241,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
                    if args.output else sys.stdout)
             for g in generate_family(spec, seed=args.seed, count=args.count):
                 out.write(write_graph6(g) + "\n")
+        except BrokenPipeError:
+            raise  # not a usage error: main exits 141
         except (OSError, ValueError, Graph6Error) as exc:
             print(f"gen: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -248,7 +254,14 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "hunt": cmd_hunt, "gen": cmd_gen}[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so the interpreter's
+        # last flush writes nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as exc:  # anything unplanned is an internal error
         print(f"spectough: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

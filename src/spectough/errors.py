@@ -5,10 +5,6 @@ class Graph6Error(ValueError):
     """Malformed or unsupported graph6 input."""
 
 
-class CapacityError(ValueError):
-    """Graph exceeds the configured cap of an exponential search."""
-
-
 class EigenConvergenceError(RuntimeError):
     """Jacobi sweeps did not reach the off-diagonal threshold."""
 

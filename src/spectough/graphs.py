@@ -142,7 +142,7 @@ def components_after_removal(g: Graph, removed: int = 0) -> list[int]:
 # graph6 codec
 
 
-def parse_graph6(text: str, cap: int = GRAPH6_MAX_N) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 line into a Graph."""
     s = text.strip().removeprefix(">>graph6<<")
     if not s:
@@ -160,8 +160,6 @@ def parse_graph6(text: str, cap: int = GRAPH6_MAX_N) -> Graph:
     n = data[0] - 63
     if n < 1:
         raise Graph6Error("graph6 order must be at least 1")
-    if n > cap:
-        raise Graph6Error(f"graph6 order {n} exceeds cap {cap}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - 1 != need:

@@ -12,8 +12,8 @@ and the floor-rounded toughness:
     VIOLATION(bd1|bd2)  a proven bound violated -- impossible absent a bug
     VIOLATION(tag)      an oracle refuted the eigenratio guarantee "tag"
                         (e.g. k-factor[k=2]) -- also a bug: each is a theorem
-    UNCHECKED(reason)   no bound compared: --no-toughness, or n over the
-                        toughness cap (reason "no-toughness" or "cap")
+    UNCHECKED(cap)      no bound compared: n is over the toughness cap
+                        (a cap of 0 skips the search for every graph)
     SKIPPED(reason)     parse failure / complete / disconnected input
     ERROR(type)         the analysis raised; type is the exception class
                         and the record's "error" field its message
@@ -45,9 +45,10 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class ScanConfig:
-    cap_toughness: int = toughness.DEFAULT_TOUGHNESS_CAP
-    cap_oracle: int = structures.DEFAULT_ORACLE_CAP
-    no_toughness: bool = False
+    """The one home of the cap defaults: the largest n each search runs on."""
+
+    cap_toughness: int = 14
+    cap_oracle: int = 16
 
 
 def analyze_graph(g: Graph, g6: str | None = None,
@@ -66,8 +67,8 @@ def analyze_graph(g: Graph, g6: str | None = None,
     spec = spectrum(g)
     rec.update(bounds.bound_report(g, spec))
     t = None
-    if not config.no_toughness and g.n <= config.cap_toughness:
-        cert = toughness.exact_toughness(g, cap=config.cap_toughness)
+    if g.n <= config.cap_toughness:
+        cert = toughness.exact_toughness(g)
         t = cert.value_float_floor()
         value = cert.value_str()
         rec.update(
@@ -89,7 +90,7 @@ def analyze_graph(g: Graph, g6: str | None = None,
         if outcome is not None:
             rec["oracle_results"][item.tag] = outcome
 
-    rec["status"] = _status(rec, t, config)
+    rec["status"] = _status(rec, t)
     return rec
 
 
@@ -116,7 +117,7 @@ def _record(g6: str, n: int | None, edges: int | None) -> dict:
 VIOLATION_SLACK = 1e-6
 
 
-def _status(rec: dict, t: float | None, config: ScanConfig) -> str:
+def _status(rec: dict, t: float | None) -> str:
     """The verdict, from the record's bounds, slacks and oracle results
     and the floor-rounded toughness t (None when it was not computed)."""
     for name in ("bd1", "bd2"):
@@ -126,8 +127,7 @@ def _status(rec: dict, t: float | None, config: ScanConfig) -> str:
     if refuted:
         return f"VIOLATION({refuted[0]})"
     if t is None:
-        return ("UNCHECKED(no-toughness)" if config.no_toughness
-                else "UNCHECKED(cap)")
+        return "UNCHECKED(cap)"
     if t + VIOLATION_SLACK < rec["bd0"]:
         return "COUNTEREXAMPLE(bd0)"
     if min(rec["slack0"], rec["slack1"], rec["slack2"]) <= VIOLATION_SLACK:
@@ -139,12 +139,11 @@ def record_to_jsonl(rec: dict) -> str:
     return json.dumps(rec, separators=(",", ":"), sort_keys=False)
 
 
-def record_to_csv_row(rec: dict) -> str:
-    vals = []
-    for col in CSV_COLUMNS:
-        v = rec.get(col)
-        vals.append("" if v is None else str(v))
-    return ",".join(vals)
+def record_to_csv_fields(rec: dict) -> list[str]:
+    """The CSV_COLUMNS of a record as strings, "" for None; write them
+    with a csv.writer, which quotes an unparsable line's commas."""
+    return ["" if rec.get(col) is None else str(rec[col])
+            for col in CSV_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,7 @@ def hunt(records: Iterable[dict], cap_oracle: int) -> dict:
                 or history and ratio <= history[-1]["ratio"]):
             continue
         if ((cert is None or len(cert["S"]) >= cert["c"])
-                and structures.has_hamilton_cycle(parse_graph6(rec["graph6"]),
-                                                  cap=cap_oracle)):
+                and structures.has_hamilton_cycle(parse_graph6(rec["graph6"]))):
             continue
         history.append({"graph6": rec["graph6"], "ratio": ratio,
                         "n": rec["n"]})

@@ -14,7 +14,8 @@ Guarantee thresholds (ratio = mu2/mun, n = order, non-strict unless noted):
     k-walk                 implied by the spanning-tree entry
     2-walk                 ratio >= 4/5  (emitted but never oracle-verified)
 
-The oracles are deterministic backtrackers, exact within their caps.
+The oracles are exact deterministic backtrackers; ORACLES holds each
+one's own order limit, the only size policy in this module.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from itertools import combinations
 from typing import Optional
 
 from . import _kernels
-from .errors import CapacityError
 from .graphs import Graph, iter_bits, mask_of
 from .spectra import Spectrum
 
-DEFAULT_ORACLE_CAP = 16
-EXTENDABLE_CAP = 12
-FACTOR_CAP = 10
-CRITICAL_CAP = 12
 # The [a,b]-factor hypotheses every guarantee list evaluates.
 AB_PAIRS = ((1, 2), (2, 3))
 
@@ -41,12 +37,10 @@ AB_PAIRS = ((1, 2), (2, 3))
 # oracles
 
 
-def has_perfect_matching(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def has_perfect_matching(g: Graph) -> bool:
     """Backtracking on the lowest-indexed unmatched vertex."""
     if g.n % 2 != 0:
         raise ValueError("perfect matching needs an even number of vertices")
-    if g.n > cap:
-        raise CapacityError(f"matching oracle capped at n={cap}")
     return _pm(g.adj, g.full_mask)
 
 
@@ -63,14 +57,11 @@ def _pm(adj: tuple[int, ...], unmatched: int) -> bool:
     return False
 
 
-def has_spanning_tree_max_degree(g: Graph, k: int,
-                                 cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def has_spanning_tree_max_degree(g: Graph, k: int) -> bool:
     """Backtracking over edge inclusions with degree pruning; k=2 is a
     Hamilton path test."""
     if k < 2:
         raise ValueError("degree bound must be at least 2")
-    if g.n > cap:
-        raise CapacityError(f"spanning-tree oracle capped at n={cap}")
     if not g.is_connected():
         raise ValueError("spanning tree needs a connected graph")
     if g.n == 1:
@@ -109,7 +100,7 @@ def has_spanning_tree_max_degree(g: Graph, k: int,
     return rec(0, 0)
 
 
-def has_hamilton_cycle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def has_hamilton_cycle(g: Graph) -> bool:
     """Deterministic backtracking with degree-2 and connectivity pruning.
 
     A connected bipartite graph with sides of different size is rejected
@@ -119,8 +110,6 @@ def has_hamilton_cycle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """
     if g.n < 3:
         raise ValueError("Hamilton cycle needs n >= 3")
-    if g.n > cap:
-        raise CapacityError(f"Hamilton oracle capped at n={cap}")
     if _unbalanced_bipartite(g):
         return False
     return _kernels.hamilton_cycle(g.n, g.adj)
@@ -146,14 +135,12 @@ def _unbalanced_bipartite(g: Graph) -> bool:
                         for v in iter_bits(side)))
 
 
-def is_m_extendable(g: Graph, m: int, cap: int = EXTENDABLE_CAP) -> bool:
+def is_m_extendable(g: Graph, m: int) -> bool:
     """Every matching of size exactly m extends to a perfect matching."""
     if g.n % 2 != 0:
         raise ValueError("extendability is defined for even orders")
     if not 1 <= m < g.n // 2 - 1:
         raise ValueError(f"need 1 <= m < n/2 - 1 = {g.n // 2 - 1}")
-    if g.n > cap:
-        raise CapacityError(f"extendability oracle capped at n={cap}")
     edges = g.edges()
 
     def matchings(start: int, used: int, size: int):
@@ -170,7 +157,7 @@ def is_m_extendable(g: Graph, m: int, cap: int = EXTENDABLE_CAP) -> bool:
                for used in matchings(0, 0, 0))
 
 
-def has_factor(g: Graph, a: int, b: int, cap: int = FACTOR_CAP) -> bool:
+def has_factor(g: Graph, a: int, b: int) -> bool:
     """Spanning subgraph with every degree in [a, b], by edge backtracking.
 
     Prunes on degree-interval feasibility: a vertex is dead once its
@@ -178,8 +165,6 @@ def has_factor(g: Graph, a: int, b: int, cap: int = FACTOR_CAP) -> bool:
     """
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    if g.n > cap:
-        raise CapacityError(f"factor oracle capped at n={cap}")
     edges = g.edges()
     deg = [0] * g.n
     remaining = g.degrees()
@@ -212,14 +197,12 @@ def has_factor(g: Graph, a: int, b: int, cap: int = FACTOR_CAP) -> bool:
     return rec(0)
 
 
-def is_1s_factor_critical(g: Graph, s: int, cap: int = CRITICAL_CAP) -> bool:
+def is_1s_factor_critical(g: Graph, s: int) -> bool:
     """G minus every s-subset of vertices has a perfect matching."""
     if not 1 <= s < g.n:
         raise ValueError("need 1 <= s < n")
     if (g.n + s) % 2 != 0:
         raise ValueError("n + s must be even")
-    if g.n > cap:
-        raise CapacityError(f"factor-critical oracle capped at n={cap}")
     return all(_pm(g.adj, g.full_mask & ~mask_of(combo))
                for combo in combinations(range(g.n), s))
 
@@ -297,33 +280,30 @@ def guarantees(g: Graph, s: Spectrum) -> list[Guarantee]:
     return out
 
 
+# oracle -> (its own order limit, or None when only the scan's oracle cap
+# bounds it, and its check on a graph and the guarantee's params).
+ORACLES = {
+    "perfect-matching": (None, lambda g, p: has_perfect_matching(g)),
+    "(1,1)-critical": (12, lambda g, p: is_1s_factor_critical(g, 1)),
+    "m-extendable": (12, lambda g, p: is_m_extendable(g, p["m"])),
+    "k-factor": (10, lambda g, p: has_factor(g, p["k"], p["k"])),
+    "ab-factor": (10, lambda g, p: has_factor(g, p["a"], p["b"])),
+    "(1,s)-critical": (12, lambda g, p: is_1s_factor_critical(g, p["s"])),
+    "spanning-tree": (None,
+                      lambda g, p: has_spanning_tree_max_degree(g, p["k"])),
+}
+
+
 def verify_guarantee(g: Graph, item: Guarantee,
-                     oracle_cap: int = DEFAULT_ORACLE_CAP) -> Optional[bool]:
-    """Run the matching combinatorial oracle for an emitted guarantee.
+                     oracle_cap: int) -> Optional[bool]:
+    """Run the oracle an emitted guarantee names.
 
     Returns True/False, or None when the guarantee has no oracle or the
-    graph exceeds the oracle's cap.
+    graph's order exceeds oracle_cap or the oracle's own limit.
     """
-    try:
-        if item.oracle == "perfect-matching":
-            return has_perfect_matching(g, cap=oracle_cap)
-        if item.oracle == "(1,1)-critical":
-            return is_1s_factor_critical(g, 1, cap=min(oracle_cap, CRITICAL_CAP))
-        if item.oracle == "m-extendable":
-            return is_m_extendable(g, item.params["m"],
-                                   cap=min(oracle_cap, EXTENDABLE_CAP))
-        if item.oracle == "k-factor":
-            k = item.params["k"]
-            return has_factor(g, k, k, cap=min(oracle_cap, FACTOR_CAP))
-        if item.oracle == "ab-factor":
-            return has_factor(g, item.params["a"], item.params["b"],
-                              cap=min(oracle_cap, FACTOR_CAP))
-        if item.oracle == "(1,s)-critical":
-            return is_1s_factor_critical(g, item.params["s"],
-                                         cap=min(oracle_cap, CRITICAL_CAP))
-        if item.oracle == "spanning-tree":
-            return has_spanning_tree_max_degree(g, item.params["k"],
-                                                cap=oracle_cap)
-    except CapacityError:
+    if item.oracle is None:
         return None
-    return None
+    limit, check = ORACLES[item.oracle]
+    if g.n > oracle_cap or (limit is not None and g.n > limit):
+        return None
+    return check(g, item.params)

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
-from .errors import CapacityError
 from .graphs import Graph
-
-DEFAULT_TOUGHNESS_CAP = 14
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -44,7 +41,7 @@ class ToughnessCertificate:
                               -math.inf)
 
 
-def exact_toughness(g: Graph, cap: int = DEFAULT_TOUGHNESS_CAP) -> ToughnessCertificate:
+def exact_toughness(g: Graph) -> ToughnessCertificate:
     """Globally optimal toughness certificate by pruned subset search.
 
     Complete graphs are infinitely tough; disconnected graphs have
@@ -52,9 +49,6 @@ def exact_toughness(g: Graph, cap: int = DEFAULT_TOUGHNESS_CAP) -> ToughnessCert
     returns the deterministic optimum (smallest ratio, then smallest |S|,
     then lexicographically smallest S).
     """
-    if g.n > cap:
-        raise CapacityError(
-            f"toughness search needs n <= {cap}, got n={g.n}; raise the cap explicitly")
     if g.is_complete():
         return ToughnessCertificate(kind=INFINITE)
     if not g.is_connected():
@@ -66,13 +60,12 @@ def exact_toughness(g: Graph, cap: int = DEFAULT_TOUGHNESS_CAP) -> ToughnessCert
                                 value=Fraction(num, den))
 
 
-def is_r_tough(g: Graph, r: Fraction | int,
-               cap: int = DEFAULT_TOUGHNESS_CAP) -> bool:
+def is_r_tough(g: Graph, r: Fraction | int) -> bool:
     """Exact rational comparison t(G) >= r."""
     r = Fraction(r)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    cert = exact_toughness(g, cap=cap)
+    cert = exact_toughness(g)
     if cert.kind == INFINITE:
         return True
     if cert.kind == ZERO:

@@ -9,9 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from spectough.errors import CapacityError
 from spectough.graphs import Graph, components_after_removal, iter_bits, mask_of
-from spectough.structures import DEFAULT_ORACLE_CAP, has_factor
+from spectough.structures import has_factor
 from spectough.toughness import FINITE, INFINITE, ZERO, ToughnessCertificate
 
 
@@ -37,7 +36,7 @@ def max_independent_set_size(g: Graph) -> int:
 def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     """No-pruning reference search; kept independent of the kernels on purpose."""
     if g.n > cap:
-        raise CapacityError(f"exhaustive search capped at n={cap}")
+        raise ValueError(f"exhaustive search capped at n={cap}")
     if g.is_complete():
         return ToughnessCertificate(kind=INFINITE)
     if not g.is_connected():
@@ -57,10 +56,8 @@ def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     return ToughnessCertificate(kind=FINITE, s_mask=best_mask, c=best_c, value=best)
 
 
-def has_hamilton_path(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> bool:
+def has_hamilton_path(g: Graph) -> bool:
     """Direct Hamilton-path backtracker (cross-check for the k=2 tree case)."""
-    if g.n > cap:
-        raise CapacityError(f"path oracle capped at n={cap}")
     if g.n == 1:
         return True
     full = g.full_mask

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from spectough.bounds import bound_report
+from spectough.cli import main
 from spectough.errors import NotApplicableError
 from spectough.graphs import (complete_multipartite, components_after_removal,
                               cycle, parse_graph6, petersen)
@@ -224,3 +225,18 @@ def test_13_record_stream_pinned(corpus_records):
     digest = hashlib.sha256(stream.encode()).hexdigest()
     report(13, f"record stream of {len(corpus_records)} graphs is pinned",
            digest == RECORD_STREAM_SHA256)
+
+
+# SHA-256 of the findings document of a hunt whose frontier Petersen opens,
+# so the Hamilton search runs once.  Held to the same rule as the record
+# stream pin above, on both kernel backends.
+HUNT_OUTPUT_SHA256 = (
+    "b2000f32675cc7d6944018bb9617dc9bf147416a0aab1fd71496c5402b733ea9")
+
+
+def test_14_hunt_output_pinned(tmp_path):
+    out = tmp_path / "findings.json"
+    assert main(["hunt", "petersen", "kss1:2..6", "gnp:10,0.5", "--seed", "1",
+                 "--count", "50", "--output", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    report(14, "hunt findings document is pinned", digest == HUNT_OUTPUT_SHA256)

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import os
 
+from spectough import structures
 from spectough.graphs import (complete_multipartite, cycle, gnp, path,
                               petersen)
 from spectough.spectra import spectrum
@@ -43,3 +44,4 @@ def test_every_oracle_has_a_kind():
     oracles = {item.oracle for g in graphs for item in guarantees(g, spectrum(g))}
     assert oracles - {None} - set(spans.ORACLE_KINDS) == set()
     assert set(spans.ORACLE_KINDS) <= oracles  # the sample reaches every kind
+    assert set(structures.ORACLES) == set(spans.ORACLE_KINDS)

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from spectough import cli, scan, structures
 from spectough.cli import main
 from spectough.graphs import parse_graph6
-from spectough.scan import ScanConfig, scan_lines
+from spectough.scan import CSV_COLUMNS, ScanConfig, scan_lines
 from tests.conftest import CLI_ENV
 
 # Runs argv[1:] and prints its exit code and peak RSS in KiB.  A process
@@ -50,6 +51,15 @@ class TestAnalyze:
         assert rec["status"] == "NEAR-TIGHT"
         for key in ("slack0", "slack1", "slack2"):
             assert abs(rec[key]) <= 1e-6
+
+    def test_oracle_cap_alone_bounds_spanning_tree(self, capsys):
+        # n = 18 is above the default oracle cap but has no own limit for
+        # the spanning-tree oracle, so --cap-oracle 20 lets it run.
+        assert main(["analyze", "--family", "cycle:18", "--cap-oracle", "20",
+                     "--cap-toughness", "0", "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["oracle_results"] == {"spanning-tree-max-degree[k=35]": True}
+        assert rec["status"] == "UNCHECKED(cap)"
 
     def test_bad_input_exits_2(self):
         for argv in (["~~~"], [">>graph6<<"], ["--family", "cycle:5..3"]):
@@ -110,13 +120,19 @@ class TestScan:
         assert proc.returncode == 2
 
     def test_csv_format(self, tmp_path):
+        lines = ["Bg", "a,b", 'a"b', "Cl"]
         corpus = tmp_path / "c.g6"
-        corpus.write_text("Bg\n")
+        corpus.write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "out.csv"
         assert main(["scan", str(corpus), "--format", "csv",
                      "--output", str(out)]) == 0
-        row = out.read_text().splitlines()[0].split(",")
-        assert row[0] == "Bg" and row[1] == "3"
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * len(lines)
+        assert [row[0] for row in rows] == lines
+        assert rows[0][1] == "3"
+        assert [row[-1] for row in rows[1:3]] == ["SKIPPED(parse)"] * 2
+        assert out.read_text().splitlines()[3].startswith("Cl,4,4,")
 
     def test_jobs_determinism(self, tmp_path):
         gen = run_cli("gen", "gnp", "9", "0.5", "--seed", "11",
@@ -128,6 +144,22 @@ class TestScan:
                      "--output", str(tmp_path / "b.jsonl"))
         assert r1.returncode == 0 and r4.returncode == 0
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "c.g6", "--jobs", "1"],
+        ["scan", "c.g6", "--jobs", "2"],
+        ["gen", "gnp", "10", "0.5", "--count", "20000"],
+    ], ids=["1", "2", "gen"])
+    def test_closed_stdout_exits_141(self, tmp_path, argv):
+        (tmp_path / "c.g6").write_text("Bg\nCl\nCF\nBw\n" * 750)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spectough", *argv], cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV)
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()  # like `| head -c 300`
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141, err
+        assert "internal error" not in err and "Exception ignored" not in err
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
         corpus = tmp_path / "c.g6"
@@ -330,5 +362,6 @@ def test_scan_lines_cap_skips_toughness():
     assert records[0]["toughness"] is None
     assert records[0]["bd0"] == pytest.approx(1.0, abs=1e-9)
     assert records[0]["status"] == "UNCHECKED(cap)"
-    records = list(scan_lines(["IheA@GUAo"], config=ScanConfig(no_toughness=True)))
-    assert records[0]["status"] == "UNCHECKED(no-toughness)"
+    records = list(scan_lines(["IheA@GUAo"], config=ScanConfig(cap_toughness=0)))
+    assert records[0]["certificate"] is None
+    assert records[0]["status"] == "UNCHECKED(cap)"

@@ -36,10 +36,6 @@ class TestGraph6Parse:
         with pytest.raises(Graph6Error, match="padding"):
             parse_graph6("Bi")
 
-    def test_cap(self):
-        with pytest.raises(Graph6Error, match="cap"):
-            parse_graph6(write_graph6(path(12)), cap=10)
-
     def test_long_form_rejected(self):
         with pytest.raises(Graph6Error, match="long-form"):
             parse_graph6("~??~?????")

@@ -4,17 +4,20 @@ from hypothesis import strategies as st
 
 from spectough import structures
 from spectough._kernels import _ref
-from spectough.errors import CapacityError
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
+from spectough.scan import ScanConfig
 from spectough.spectra import spectrum
-from spectough.structures import (guarantees, has_factor, has_hamilton_cycle,
+from spectough.structures import (Guarantee, guarantees, has_factor,
+                                  has_hamilton_cycle,
                                   has_perfect_matching,
                                   has_spanning_tree_max_degree,
                                   is_1s_factor_critical, is_m_extendable,
                                   verify_guarantee)
 from tests import _oracles
 from tests._oracles import has_hamilton_path
+
+ORACLE_CAP = ScanConfig().cap_oracle
 
 
 class TestPerfectMatching:
@@ -32,8 +35,9 @@ class TestPerfectMatching:
             has_perfect_matching(cycle(5))
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            has_perfect_matching(cycle(18))
+        item = Guarantee("elementary", {}, "perfect-matching")
+        assert verify_guarantee(cycle(18), item, oracle_cap=ORACLE_CAP) is None
+        assert verify_guarantee(cycle(18), item, oracle_cap=18) is True
 
 
 class TestSpanningTree:
@@ -79,8 +83,6 @@ class TestHamiltonCycle:
     def test_small_and_cap(self):
         with pytest.raises(ValueError):
             has_hamilton_cycle(complete(2))
-        with pytest.raises(CapacityError):
-            has_hamilton_cycle(cycle(17))
 
     def test_unbalanced_bipartite_needs_no_search(self, monkeypatch):
         def no_search(*args):
@@ -138,8 +140,6 @@ class TestFactors:
     def test_invalid(self):
         with pytest.raises(ValueError):
             has_factor(cycle(4), 2, 1)
-        with pytest.raises(CapacityError):
-            has_factor(cycle(12), 1, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.sampled_from([4, 6, 8]), seed=st.integers(0, 2**32))
@@ -231,5 +231,22 @@ class TestGuarantees:
         for g in (cycle(4), cycle(6), petersen(), petersen().complement(),
                   complete_multipartite([2, 2, 2])):
             for item in guarantees(g, spectrum(g)):
-                outcome = verify_guarantee(g, item)
+                outcome = verify_guarantee(g, item, oracle_cap=ORACLE_CAP)
                 assert outcome is not False, (g, item)
+
+
+@pytest.mark.parametrize("oracle", sorted(structures.ORACLES))
+def test_oracle_stops_above_its_limit(monkeypatch, oracle):
+    """One vertex above the oracle's own limit, or above the oracle cap
+    when it has none, the check never runs; at the limit it does."""
+    limit, _ = structures.ORACLES[oracle]
+    top = ORACLE_CAP if limit is None else limit
+
+    def check(g, params):
+        raise AssertionError(f"{oracle} ran at n={g.n}")
+
+    monkeypatch.setitem(structures.ORACLES, oracle, (limit, check))
+    item = Guarantee("any", {}, oracle)
+    assert verify_guarantee(cycle(top + 1), item, oracle_cap=ORACLE_CAP) is None
+    with pytest.raises(AssertionError, match=f"n={top}"):
+        verify_guarantee(cycle(top), item, oracle_cap=ORACLE_CAP)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectough.errors import CapacityError, NotApplicableError
+from spectough.errors import NotApplicableError
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
 from spectough.toughness import exact_toughness, is_r_tough
@@ -39,9 +39,7 @@ class TestExactToughness:
         assert cert.value_str() == "0"
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            exact_toughness(cycle(15))
-        assert exact_toughness(cycle(15), cap=15).value == Fraction(1)
+        assert exact_toughness(cycle(15)).value == Fraction(1)
 
     def test_certificate_is_valid_cut(self):
         from spectough.graphs import components_after_removal
