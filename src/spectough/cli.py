@@ -42,6 +42,19 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
                         f"(default {defaults.cap_oracle})")
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _add_jobs(p: argparse.ArgumentParser, default: int, note: str) -> None:
+    p.add_argument("--jobs", type=int, default=default,
+                   help=f"worker processes (default {note}); records keep "
+                        "input order, so the output is the same for any count")
+
+
 def _add_findings_ok(p: argparse.ArgumentParser) -> None:
     p.add_argument("--findings-ok", action="store_true",
                    help="exit 0 on bd0 counterexamples (never on violations)")
@@ -63,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan a graph6 corpus file")
     p.add_argument("corpus", help="path to graph6 lines ('#' comments ok)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1)")
+    _add_jobs(p, 1, "1")
     p.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p.add_argument("--output", help="output path (default stdout)")
     _add_findings_ok(p)
@@ -79,6 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100000,
                    help="max graphs to examine in total")
     p.add_argument("--output", help="findings JSON path (default stdout)")
+    cores = _usable_cores()
+    _add_jobs(p, cores, f"the usable cores, here {cores}")
     _add_findings_ok(p)
     _add_caps(p)
 
@@ -177,14 +191,18 @@ def _exit_code(prog: str, counts: dict[str, int], findings_ok: bool) -> int:
     return EXIT_OK
 
 
+def _open_corpus(path: str):
+    """A corpus file as text that no byte can fail to decode: an invalid
+    byte becomes U+FFFD, which parse_graph6 rejects as non-ASCII, so the
+    line gets a SKIPPED(parse) record and the rest of the file is read."""
+    return open(path, encoding="utf-8", errors="replace")
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print("scan: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     counts: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         try:
-            corpus = stack.enter_context(open(args.corpus))
+            corpus = stack.enter_context(_open_corpus(args.corpus))
             out = (stack.enter_context(open(args.output, "w"))
                    if args.output else sys.stdout)
         except OSError as exc:
@@ -212,13 +230,14 @@ def cmd_hunt(args: argparse.Namespace) -> int:
                 if ("/" in spec or spec.endswith(".g6")
                         or spec.startswith("file:")):
                     sources.append(stack.enter_context(
-                        open(spec.removeprefix("file:"))))
+                        _open_corpus(spec.removeprefix("file:"))))
                 else:
                     sources.append(map(write_graph6, generate_family(
                         spec, seed=args.seed, count=args.count)))
             lines = itertools.islice(
                 read_graph6_lines(itertools.chain(*sources)), args.budget)
-            records = scanmod.scan_lines(lines, config=_config(args), jobs=1)
+            records = scanmod.scan_lines(lines, config=_config(args),
+                                         jobs=args.jobs)
             findings = scanmod.hunt(_reported("hunt", records, counts),
                                     cap_oracle=args.cap_oracle)
         except (OSError, Graph6Error, ValueError) as exc:
@@ -253,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "hunt": cmd_hunt, "gen": cmd_gen}[args.command]
+    if getattr(args, "jobs", 1) < 1:
+        print(f"{args.command}: --jobs must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         code = handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

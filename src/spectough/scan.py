@@ -167,15 +167,38 @@ def scan_line(line: str, config: ScanConfig) -> dict:
 
 def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
                jobs: int = 1) -> Iterator[dict]:
-    """Analyze graph6 lines lazily; records come in input order."""
+    """Analyze graph6 lines lazily; records come in input order.
+
+    If reading ``lines`` raises, every record of the lines read before
+    comes first and then the exception, at any worker count."""
     payload = read_graph6_lines(lines)
     if jobs <= 1:
         for line in payload:
             yield scan_line(line, config)
         return
+    failed: list[Exception] = []
+
+    def feed() -> Iterator[str]:
+        # The pool draws lines in a thread of its own and would drop the
+        # part-built chunk that an exception interrupts; hold the
+        # exception until the records before it are out.
+        try:
+            yield from payload
+        except Exception as exc:
+            failed.append(exc)
+
     with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(functools.partial(scan_line, config=config),
-                             payload, chunksize=16)
+        yield from pool.imap(functools.partial(_scan_in_worker, config=config),
+                             feed(), chunksize=16)
+    if failed:
+        raise failed[0]
+
+
+def _scan_in_worker(line: str, config: ScanConfig) -> dict:
+    # The pool pickles its task function by name, which fails for a
+    # wrapper swapped in for scan_line (a tracer or a test patch); this
+    # name is never swapped, and it finds scan_line in the worker.
+    return scan_line(line, config)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
 
     Raises ValueError unless ``matrix`` is a square, symmetric sequence of
-    rows, and EigenConvergenceError if MAX_SWEEPS sweeps do not reach the
+    rows with a finite Frobenius norm, so finite entries, and
+    EigenConvergenceError if MAX_SWEEPS sweeps do not reach the
     off-diagonal threshold (never silently returns a bad spectrum).
     """
     try:
@@ -44,9 +45,13 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     n = len(a)
     if not a or any(len(row) != n for row in a) or not _symmetric(a):
         raise ValueError("matrix must be square and symmetric")
+    fro = math.sqrt(sum(x * x for row in a for x in row))
+    if not math.isfinite(fro):
+        # an infinite entry, or entries so large that the norm overflows
+        # and the convergence threshold would pass at once
+        raise ValueError("matrix must have a finite Frobenius norm")
     if n == 1:
         return [a[0][0]]
-    fro = math.sqrt(sum(x * x for row in a for x in row))
     if fro == 0.0:
         return [0.0] * n
     thresh = OFFDIAG_REL_TOL * fro

@@ -235,8 +235,12 @@ HUNT_OUTPUT_SHA256 = (
 
 
 def test_14_hunt_output_pinned(tmp_path):
-    out = tmp_path / "findings.json"
-    assert main(["hunt", "petersen", "kss1:2..6", "gnp:10,0.5", "--seed", "1",
-                 "--count", "50", "--output", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    report(14, "hunt findings document is pinned", digest == HUNT_OUTPUT_SHA256)
+    digests = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"findings{jobs}.json"
+        assert main(["hunt", "petersen", "kss1:2..6", "gnp:10,0.5", "--seed",
+                     "1", "--count", "50", "--jobs", jobs,
+                     "--output", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    report(14, "hunt findings document is pinned at --jobs 1 and 2",
+           digests == [HUNT_OUTPUT_SHA256] * 2)

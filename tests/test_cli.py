@@ -140,10 +140,13 @@ class TestScan:
         assert gen.returncode == 0
         r1 = run_cli("scan", str(tmp_path / "c.g6"), "--jobs", "1",
                      "--output", str(tmp_path / "a.jsonl"))
-        r4 = run_cli("scan", str(tmp_path / "c.g6"), "--jobs", "4",
-                     "--output", str(tmp_path / "b.jsonl"))
-        assert r1.returncode == 0 and r4.returncode == 0
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        assert r1.returncode == 0
+        for jobs in ("2", "4"):
+            out = tmp_path / f"j{jobs}.jsonl"
+            rj = run_cli("scan", str(tmp_path / "c.g6"), "--jobs", jobs,
+                         "--output", str(out))
+            assert rj.returncode == 0
+            assert out.read_bytes() == (tmp_path / "a.jsonl").read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["scan", "c.g6", "--jobs", "1"],
@@ -165,6 +168,25 @@ class TestScan:
         corpus = tmp_path / "c.g6"
         corpus.write_text("Bg\n")
         assert main(["scan", str(corpus), "--jobs", "0"]) == 2
+        assert main(["hunt", str(corpus), "--jobs", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--jobs", "1"], ["scan", "--jobs", "2"], ["hunt"],
+    ], ids=["1", "2", "hunt"])
+    def test_undecodable_bytes_skip_one_line(self, tmp_path, capsys, argv):
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(b"Bg\n\xff\xfe\nCl\n")
+        out = tmp_path / "out.json"
+        assert main([argv[0], str(corpus), *argv[1:],
+                     "--output", str(out)]) == 0
+        assert "internal error" not in capsys.readouterr().err
+        if argv[0] == "hunt":
+            assert json.loads(out.read_text())["scanned"] == 3
+            return
+        records = [json.loads(row) for row in out.read_text().splitlines()]
+        assert [r["status"] for r in records] == [
+            "NEAR-TIGHT", "SKIPPED(parse)", "NEAR-TIGHT"]
+        assert records[1]["graph6"] == "\ufffd\ufffd"
 
     def test_unwritable_output_fails_before_analysis(self, tmp_path,
                                                      monkeypatch):
@@ -177,7 +199,8 @@ class TestScan:
                             lambda *a, **k: calls.append(a) or iter(()))
         out = tmp_path / "missing-dir" / "out.jsonl"
         assert main(["scan", str(corpus), "--output", str(out)]) == 2
-        assert main(["hunt", str(corpus), "--output", str(out)]) == 2
+        assert main(["hunt", str(corpus), "--jobs", "1",
+                     "--output", str(out)]) == 2
         assert main(["gen", "cycle", "3..6", "--output", str(out)]) == 2
         assert calls == []
 
@@ -186,7 +209,7 @@ class TestScan:
         pytest.param(["scan", "--jobs", "2"], marks=pytest.mark.skipif(
             multiprocessing.get_start_method() != "fork",
             reason="workers see the patched analyzer only when forked")),
-        ["hunt"],
+        ["hunt", "--jobs", "1"],
     ], ids=["1", "2", "hunt"])
     def test_one_bad_graph_keeps_the_rest(self, tmp_path, monkeypatch, capsys,
                                           argv):
@@ -230,11 +253,12 @@ class TestScan:
                 return rec
             return analyze
 
+        # --jobs 1: the patched analyzer runs in this process
         for command in ("scan", "hunt"):
-            argv = [command, str(corpus), "--findings-ok"]
+            argv = [command, str(corpus), "--jobs", "1", "--findings-ok"]
             monkeypatch.setattr(scan, "analyze_graph",
                                 with_status("COUNTEREXAMPLE(bd0)"))
-            assert main(argv[:2]) == 1
+            assert main(argv[:-1]) == 1
             assert main(argv) == 0
             monkeypatch.setattr(scan, "analyze_graph",
                                 with_status("VIOLATION(bd1)"))
@@ -248,7 +272,8 @@ class TestScan:
         corpus.write_text("Cl\n")  # C4: its guarantees start with "elementary"
         monkeypatch.setattr(structures, "verify_guarantee",
                             lambda *a, **k: False)
-        assert main([command, str(corpus), "--findings-ok"]) == 1
+        assert main([command, str(corpus), "--jobs", "1",
+                     "--findings-ok"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert "PROVEN BOUND VIOLATED" in err[0]
         assert json.loads(err[1])["status"] == "VIOLATION(elementary)"
@@ -327,10 +352,17 @@ class TestHunt:
         calls = []
         monkeypatch.setattr(scan, "analyze_graph",
                             lambda *a, **k: calls.append(a))
-        assert main(["hunt", "kss1:2..4", "dodecahedron"]) == 2
-        assert main(["hunt", "kss1:2", str(tmp_path / "missing.g6")]) == 2
-        assert main(["hunt", "gnp:10,1.5", "kss1:2"]) == 2
+        for argv in (["kss1:2..4", "dodecahedron"],
+                     ["kss1:2", str(tmp_path / "missing.g6")],
+                     ["gnp:10,1.5", "kss1:2"]):
+            assert main(["hunt", *argv, "--jobs", "1"]) == 2
         assert calls == []
+
+    def test_draw_failure_exits_2_in_parallel(self, capsys):
+        # gnp:10,1.5 fails only when its first graph is drawn, which the
+        # worker pool does in a thread of its own.
+        assert main(["hunt", "gnp:10,1.5", "kss1:2", "--jobs", "2"]) == 2
+        assert capsys.readouterr().err.startswith("hunt: ")
 
 
 class TestGen:
@@ -355,6 +387,19 @@ class TestGen:
     def test_unknown_family(self):
         proc = run_cli("gen", "dodecahedron")
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_lines_reading_failure_comes_after_earlier_records(jobs):
+    def lines():
+        yield from ["Bg", "Cl", "CF", "Bw", "Dhc", "Bg"]
+        raise ValueError("unreadable")
+
+    seen = []
+    with pytest.raises(ValueError, match="unreadable"):
+        for rec in scan_lines(lines(), jobs=jobs):
+            seen.append(rec["graph6"])
+    assert seen == ["Bg", "Cl", "CF", "Bw", "Dhc", "Bg"]
 
 
 def test_scan_lines_cap_skips_toughness():

@@ -61,8 +61,11 @@ def test_jacobi_rejects_asymmetric():
         jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-@pytest.mark.parametrize("matrix", [[], [1.0, 2.0], [[1.0, 2.0], [3.0]],
-                                    [[math.nan]]])
+@pytest.mark.parametrize("matrix", [
+    [], [1.0, 2.0], [[1.0, 2.0], [3.0]], [[math.nan]], [[math.inf]],
+    [[1.0, math.inf], [math.inf, 1.0]], [[1.0, 0.0], [0.0, math.inf]],
+    [[1e200, 1e200], [1e200, 1e200]],  # finite, but the norm overflows
+])
 def test_jacobi_rejects_malformed(matrix):
     with pytest.raises(ValueError):
         jacobi_eigenvalues(matrix)
