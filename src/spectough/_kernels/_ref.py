@@ -8,8 +8,6 @@ improvement wins" yields the documented deterministic tie-break.
 
 from __future__ import annotations
 
-from ..graphs import iter_bits
-
 BACKEND_NAME = "pure"
 
 
@@ -75,8 +73,11 @@ def hamilton_cycle(n: int, adj: tuple[int, ...]) -> bool:
     def feasible(current: int, visited: int) -> bool:
         rest = full & ~visited
         # every unvisited vertex still needs two usable incidences
-        for u in iter_bits(rest):
-            avail = adj[u] & (rest | (1 << current) | 1)
+        scan = rest
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            avail = adj[low.bit_length() - 1] & (rest | (1 << current) | 1)
             if avail.bit_count() < 2:
                 return False
         # unvisited region plus the path head must be connected
@@ -97,10 +98,42 @@ def hamilton_cycle(n: int, adj: tuple[int, ...]) -> bool:
         if not feasible(v, visited):
             return False
         cand = adj[v] & ~visited
-        for u in iter_bits(cand):
-            if extend(u, visited | (1 << u)):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if extend(low.bit_length() - 1, visited | low):
                 return True
         return False
 
     return extend(0, 1)
 
+
+class SplitMix64:
+    """SplitMix64 PRNG: 64-bit state, documented so corpora replay anywhere."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = seed & self._MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+
+def gnp_rows(n: int, p: float, seed: int) -> list[int]:
+    """Adjacency rows of G(n, p): one SplitMix64 word per pair (i, j),
+    i < j, in row-major order; the edge is present iff the word is below
+    floor(p * 2^64).  The seed is taken modulo 2^64."""
+    rng = SplitMix64(seed)
+    threshold = int(p * (1 << 64))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.next_u64() < threshold:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows

@@ -117,3 +117,32 @@ int st_hamilton_cycle(int n, const uint64_t *adj)
             return 0;
     return extend(adj, ((uint64_t)1 << n) - 1, 0, 1);
 }
+
+static uint64_t splitmix64_next(uint64_t *state)
+{
+    uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* G(n, p) adjacency rows, as _ref.gnp_rows: one SplitMix64 word per pair
+ * (i, j), i < j, in row-major order; the edge is present iff the word is
+ * below the threshold floor(p * 2^64).  That threshold is 2^64 at p = 1,
+ * one more than a uint64_t holds, so the caller passes its low 64 bits and
+ * every_pair = 1 for it.  Writes n rows. */
+void st_gnp(int n, uint64_t seed, uint64_t threshold, int every_pair,
+            uint64_t *rows)
+{
+    uint64_t state = seed;
+    for (int i = 0; i < n; i++)
+        rows[i] = 0;
+    for (int i = 0; i < n; i++)
+        for (int j = i + 1; j < n; j++) {
+            uint64_t word = splitmix64_next(&state);
+            if (word < threshold || every_pair) {
+                rows[i] |= (uint64_t)1 << j;
+                rows[j] |= (uint64_t)1 << i;
+            }
+        }
+}

@@ -141,17 +141,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         if args.family:
             g = next(generate_family(args.family, seed=args.seed), None)
+            if g is None:
+                raise ValueError(f"family spec {args.family!r} yields no graph")
         else:
             g = parse_graph6(args.graph6)
+        g6 = write_graph6(g)  # n > 62 is bad input, not an internal error
     except (Graph6Error, ValueError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if g is None:
-        print(f"analyze: family spec {args.family!r} yields no graph",
-              file=sys.stderr)
-        return EXIT_USAGE
     counts: dict[str, int] = {}
-    rec = scanmod.analyze_graph(g, config=_config(args))
+    rec = scanmod.analyze_graph(g, g6, config=_config(args))
     for rec in _reported("analyze", [rec], counts):
         if args.format == "json":
             print(scanmod.record_to_jsonl(rec))
@@ -272,9 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "hunt": cmd_hunt, "gen": cmd_gen}[args.command]
-    if getattr(args, "jobs", 1) < 1:
-        print(f"{args.command}: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, least in (("jobs", 1), ("count", 0), ("budget", 0)):
+        if getattr(args, flag, least) < least:
+            print(f"{args.command}: --{flag} must be at least {least}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         code = handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -9,6 +9,10 @@ upper-triangle adjacency bits in column order x(0,1), x(0,2), x(1,2),
 x(0,3), ..., packed 6 bits per byte (most significant first), each byte
 offset by 63, zero-padded at the end.  Corpus files hold one graph6
 string per line; lines starting with '#' are comments.
+
+G(n, p) draws its rows in the kernel library when it is built, and in
+the pure-Python reference otherwise, with identical results; gnp takes
+n <= 62, the graph6 limit that every consumer needs anyway.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import _kernels
+from ._kernels._ref import SplitMix64  # noqa: F401  (the family seeders' PRNG)
 from .errors import Graph6Error
 
-GRAPH6_MAX_N = 62
+GRAPH6_MAX_N = _kernels.MAX_N
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -57,10 +63,15 @@ class Graph:
         for v, row in enumerate(masks):
             if row >> n:
                 raise ValueError(f"adjacency row {v} references vertex >= {n}")
-            if row & (1 << v):
+            bit = 1 << v
+            if row & bit:
                 raise ValueError(f"loop at vertex {v}")
-            for u in iter_bits(row):
-                if not masks[u] & (1 << v):
+            rest = row
+            while rest:  # each neighbour u, ascending
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                if not masks[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
             total += row.bit_count()
         return cls(n=n, adj=tuple(masks), edge_count=total // 2)
@@ -104,7 +115,15 @@ class Graph:
         return self.edge_count == self.n * (self.n - 1) // 2
 
     def is_connected(self) -> bool:
-        return len(components_after_removal(self, 0)) == 1
+        """Breadth-first from vertex 0, stopping once every vertex is seen."""
+        adj, full = self.adj, self.full_mask
+        seen = frontier = 1
+        while frontier and seen != full:
+            low = frontier & -frontier
+            new = adj[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier = (frontier ^ low) | new
+        return seen == full
 
     def complement(self) -> "Graph":
         full = self.full_mask
@@ -188,16 +207,12 @@ def write_graph6(g: Graph) -> str:
     """Encode a Graph as a short-form graph6 string (round-trips parse_graph6)."""
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error(f"order {g.n} exceeds the short-form limit {GRAPH6_MAX_N}")
-    bits = 0
-    nbits = g.n * (g.n - 1) // 2
-    pos = nbits - 1
-    for j in range(1, g.n):
-        for i in range(j):
-            if g.has_edge(i, j):
-                bits |= 1 << pos
-            pos -= 1
+    # column j holds x(0,j) .. x(j-1,j): the low j bits of row j, lowest first
+    column_bits = "".join([format(row & ((1 << j) - 1), f"0{j}b")[::-1]
+                           for j, row in enumerate(g.adj) if j])
+    nbits = len(column_bits)
     pad = (6 - nbits % 6) % 6
-    bits <<= pad
+    bits = int(column_bits or "0", 2) << pad
     out = [g.n + 63]
     for k in range((nbits + 5) // 6 - 1, -1, -1):
         out.append(((bits >> (6 * k)) & 63) + 63)
@@ -214,22 +229,6 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-class SplitMix64:
-    """SplitMix64 PRNG: 64-bit state, documented so corpora replay anywhere."""
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = seed & self._MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
 
 
 def complete(n: int) -> Graph:
@@ -276,18 +275,11 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), reproducible across implementations.
 
     Draws one SplitMix64 word per pair (i, j), i < j, in row-major order;
-    the edge is present iff the word is below floor(p * 2^64).
+    the edge is present iff the word is below floor(p * 2^64).  The seed
+    is taken modulo 2^64.
     """
-    if n < 1:
-        raise ValueError("gnp(n) needs n >= 1")
+    if not 1 <= n <= GRAPH6_MAX_N:
+        raise ValueError(f"gnp(n) needs 1 <= n <= {GRAPH6_MAX_N}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("gnp probability must be in [0, 1]")
-    rng = SplitMix64(seed)
-    threshold = int(p * (1 << 64))
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.next_u64() < threshold:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return Graph.from_adj_masks(masks)
+    return Graph.from_adj_masks(_kernels.gnp_rows(n, p, seed))

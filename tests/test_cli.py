@@ -61,12 +61,17 @@ class TestAnalyze:
         assert rec["oracle_results"] == {"spanning-tree-max-degree[k=35]": True}
         assert rec["status"] == "UNCHECKED(cap)"
 
-    def test_bad_input_exits_2(self):
-        for argv in (["~~~"], [">>graph6<<"], ["--family", "cycle:5..3"]):
+    def test_bad_input_exits_2(self, capsys):
+        for argv in (["~~~"], [">>graph6<<"], ["--family", "cycle:5..3"],
+                     ["--family", "cycle:70"]):
             proc = run_cli("analyze", *argv)
             assert proc.returncode == 2, argv
             assert proc.stderr.strip(), argv
             assert "internal error" not in proc.stderr, argv
+        # a family graph too large to encode is bad input, not a crash
+        assert main(["analyze", "--family", "cycle:70"]) == 2
+        assert capsys.readouterr().err == (
+            "analyze: order 70 exceeds the short-form limit 62\n")
 
     def test_both_inputs_is_usage_error(self):
         proc = run_cli("analyze", "Bw", "--family", "petersen")
@@ -169,6 +174,18 @@ class TestScan:
         corpus.write_text("Bg\n")
         assert main(["scan", str(corpus), "--jobs", "0"]) == 2
         assert main(["hunt", str(corpus), "--jobs", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["hunt", "kss1:2", "--budget", "-1"],
+        ["hunt", "gnp:8,0.5", "--count", "-1"],
+        ["gen", "gnp", "8", "0.5", "--count", "-2"],
+    ], ids=["hunt-budget", "hunt-count", "gen-count"])
+    def test_negative_count_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        flag = argv[-2]
+        assert out == ""
+        assert err == f"{argv[0]}: {flag} must be at least 0\n"
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--jobs", "1"], ["scan", "--jobs", "2"], ["hunt"],

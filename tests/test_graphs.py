@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -87,6 +90,25 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="asymmetric"):
             Graph.from_adj_masks([0b10, 0b00])
 
+    @pytest.mark.parametrize("masks,first", [
+        # row 0 breaks every rule: the range check runs first
+        ([0b1011, 0b000, 0b000], "adjacency row 0 references vertex >= 3"),
+        # a loop at 0 comes before the missing 1 -> 0 entry
+        ([0b011, 0b000, 0b000], "loop at vertex 0"),
+        # row 0 is asymmetric towards 1; row 1 is out of range and a loop
+        ([0b010, 0b1010, 0b000], "asymmetric adjacency between 1 and 0"),
+        # rows are checked in order: row 1's loop before row 2's range
+        ([0b000, 0b110, 0b1000], "loop at vertex 1"),
+        # the smallest neighbour without the reverse entry is named
+        ([0b1100, 0b0000, 0b0000, 0b0001], "asymmetric adjacency between 2 and 0"),
+        # a negative row has bits at and above n
+        ([-1, 0b0], "adjacency row 0 references vertex >= 2"),
+    ])
+    def test_first_error_of_malformed_masks(self, masks, first):
+        with pytest.raises(ValueError) as info:
+            Graph.from_adj_masks(masks)
+        assert str(info.value) == first
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 16), seed=st.integers(0, 2**32))
     def test_complement_involution(self, n, seed):
@@ -151,9 +173,44 @@ class TestGenerators:
             complete_multipartite([2, 0])
         with pytest.raises(ValueError):
             cycle(2)
-        with pytest.raises(ValueError):
-            gnp(5, 1.5, 0)
+        for n, p in ((5, 1.5), (0, 0.5), (63, 0.5)):
+            with pytest.raises(ValueError):
+                gnp(n, p, 0)
 
     def test_gnp_deterministic(self):
         assert gnp(12, 0.5, 99) == gnp(12, 0.5, 99)
         assert gnp(12, 0.5, 99) != gnp(12, 0.5, 100)
+
+
+# gnp(n, p, seed) as graph6, recorded before G(n, p) moved into the kernel
+# library.  Seeds are taken modulo 2^64: -1 is 2^64 - 1 and 2^64 + 3 is 3.
+GNP_PS = (0.0, 0.3, 0.7, 1.0, math.nextafter(1.0, 0.0))
+GNP_SEEDS = (-1, 0, 2**64 + 3)
+GNP_PINS = {
+    13: {0.3: ("LLWGIfWLDAOi?q", "LCEGT`SbWACGNa", "L`a@f@???OAPJH"),
+         0.7: ("LLxyjvW^vmWz\\v", "L^Fnt`sfWr~wNq", "LniVn|~tp~r~^N")},
+    14: {0.3: ("MECQjAcAkcOXQ@t@_", "MCEwEGIkhcfAAd@?_", "M_iaUGW?P@??PEGP?"),
+         0.7: ("MFtyjjeUnlwz^P~Z_", "M\\^|}wYkjevRRlhn_", "Mknv}|~fx^xm^V}p?")},
+}
+GNP_EMPTY = {13: "L?????????????", 14: "M????????????????"}
+GNP_FULL = {13: "L~~~~~~~~~~~~~", 14: "M~~~~~~~~~~~~~~~_"}
+# SHA-256 of the 15 graph6 lines gnp(62, p, seed), p in GNP_PS outermost
+GNP_62_SHA256 = "902b03bdbada2237ab54b87a7f6853aeda4464db69a35d01777f2dd5bc439489"
+
+
+class TestGnpPinned:
+    @pytest.mark.parametrize("n", [13, 14])
+    @pytest.mark.parametrize("p", GNP_PS)
+    def test_known_answers(self, n, p):
+        if p == 0.0:
+            expect = (GNP_EMPTY[n],) * 3
+        elif p >= 0.9:  # 1.0 and the largest double below it
+            expect = (GNP_FULL[n],) * 3
+        else:
+            expect = GNP_PINS[n][p]
+        assert tuple(write_graph6(gnp(n, p, seed)) for seed in GNP_SEEDS) == expect
+
+    def test_order_62(self):
+        lines = "".join(write_graph6(gnp(62, p, seed)) + "\n"
+                        for p in GNP_PS for seed in GNP_SEEDS)
+        assert hashlib.sha256(lines.encode()).hexdigest() == GNP_62_SHA256

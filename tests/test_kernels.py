@@ -5,6 +5,7 @@ there is none, bitset.c compiled here with the system C compiler; both
 are bound by the loader the package uses.
 """
 
+import math
 import os
 import shutil
 import subprocess
@@ -72,3 +73,15 @@ def test_compiled_rejects_bad_sizes(compiled):
         compiled.toughness_search(63, (0,) * 63)
     with pytest.raises(ValueError):
         compiled.hamilton_cycle(4, (3, 3, 3))
+    for n, p in ((63, 0.5), (8, 1.5), (8, -0.5)):
+        with pytest.raises(ValueError):
+            compiled.gnp_rows(n, p, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 62),
+       p=st.floats(0.0, 1.0) | st.sampled_from(
+           [0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0]),
+       seed=st.integers(0, 2**64 - 1) | st.integers(-2**70, 2**70))
+def test_gnp_rows_agreement(compiled, n, p, seed):
+    assert compiled.gnp_rows(n, p, seed) == _ref.gnp_rows(n, p, seed)
