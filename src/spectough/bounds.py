@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotApplicableError
 from .graphs import Graph, components_after_removal
 from .spectra import Spectrum
-from .toughness import FINITE, ToughnessCertificate
+from .toughness import ToughnessCertificate
 
 
 def bound_report(g: Graph, s: Spectrum) -> dict:
@@ -48,8 +47,6 @@ def _subset_sum_hits(sizes: list[int], target: int) -> bool:
 
 def detect_prop2_cases(g: Graph, cert: ToughnessCertificate) -> dict[str, bool]:
     """Which of the four proven cases (i)-(iv) hold at the extremal cut."""
-    if cert.kind != FINITE:
-        raise NotApplicableError("case detection needs a finite certificate")
     comps = components_after_removal(g, cert.s_mask)
     sizes = [m.bit_count() for m in comps]
     rest = g.n - cert.s_mask.bit_count()

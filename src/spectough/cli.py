@@ -84,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="hunt counterexamples and tight cases")
     p.add_argument("specs", nargs="+",
-                   help="family specs (kss1:2..6, gnp:10,0.5) or corpus paths")
+                   help="family specs (kss1:2..6, gnp:10,0.5) or corpus "
+                        "paths; a spec is a path when it contains '/', ends "
+                        "in .g6 or starts with file: (file:NAME reads NAME)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100,
                    help="graphs per random spec (default 100)")

@@ -7,7 +7,3 @@ class Graph6Error(ValueError):
 
 class EigenConvergenceError(RuntimeError):
     """Jacobi sweeps did not reach the off-diagonal threshold."""
-
-
-class NotApplicableError(ValueError):
-    """Requested construction does not apply to this input shape."""

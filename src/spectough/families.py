@@ -17,11 +17,12 @@ from .graphs import (Graph, SplitMix64, complete, complete_multipartite,
                      cycle, gnp, path, petersen)
 
 
-def _int_range(text: str) -> list[int]:
+def _int_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return range(int(lo), int(hi) + 1)
+    n = int(text)
+    return range(n, n + 1)
 
 
 def generate_family(spec: str, seed: int = 0, count: int = 1) -> Iterator[Graph]:

@@ -4,7 +4,7 @@ One record per graph aggregates: spectrum summary, the three bounds,
 the exact toughness certificate, case flags at the extremal cut,
 eigenratio guarantees with oracle cross-checks, and a status.  The
 status is decided in one place, ``_status``, from the finished record
-and the floor-rounded toughness:
+and the toughness that ``analyze_graph`` rounds one ulp toward -inf:
 
     OK                  all bounds satisfied with room to spare
     NEAR-TIGHT          some slack within 1e-6 (tight or nearly-tight case)
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -69,8 +70,9 @@ def analyze_graph(g: Graph, g6: str | None = None,
     t = None
     if g.n <= config.cap_toughness:
         cert = toughness.exact_toughness(g)
-        t = cert.value_float_floor()
-        value = cert.value_str()
+        # one ulp toward -inf, so float noise cannot fabricate a violation
+        t = math.nextafter(float(cert.value), -math.inf)
+        value = str(cert.value)
         rec.update(
             toughness=value,
             slack0=t - rec["bd0"], slack1=t - rec["bd1"],

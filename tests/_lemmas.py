@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from spectough.errors import NotApplicableError
 from spectough.graphs import Graph, iter_bits
 from spectough.spectra import Spectrum
+
+
+class NotApplicableError(ValueError):
+    """Requested construction does not apply to this input shape."""
 
 
 def independence_upper_bound(s: Spectrum, delta: int, n: int) -> float:

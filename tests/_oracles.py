@@ -11,7 +11,7 @@ from itertools import combinations
 
 from spectough.graphs import Graph, components_after_removal, iter_bits, mask_of
 from spectough.structures import has_factor
-from spectough.toughness import FINITE, INFINITE, ZERO, ToughnessCertificate
+from spectough.toughness import ToughnessCertificate
 
 
 def max_independent_set_size(g: Graph) -> int:
@@ -37,10 +37,9 @@ def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     """No-pruning reference search; kept independent of the kernels on purpose."""
     if g.n > cap:
         raise ValueError(f"exhaustive search capped at n={cap}")
-    if g.is_complete():
-        return ToughnessCertificate(kind=INFINITE)
-    if not g.is_connected():
-        return ToughnessCertificate(kind=ZERO, value=Fraction(0))
+    if g.is_complete() or not g.is_connected():
+        raise ValueError("a toughness certificate needs a connected, "
+                         "non-complete graph")
     best = None
     best_mask = 0
     best_c = 0
@@ -53,7 +52,7 @@ def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
             val = Fraction(k, len(comps))
             if best is None or val < best:
                 best, best_mask, best_c = val, mask, len(comps)
-    return ToughnessCertificate(kind=FINITE, s_mask=best_mask, c=best_c, value=best)
+    return ToughnessCertificate(s_mask=best_mask, c=best_c)
 
 
 def has_hamilton_path(g: Graph) -> bool:

@@ -16,15 +16,14 @@ import pytest
 
 from spectough.bounds import bound_report
 from spectough.cli import main
-from spectough.errors import NotApplicableError
 from spectough.graphs import (complete_multipartite, components_after_removal,
                               cycle, parse_graph6, petersen)
 from spectough.scan import record_to_jsonl
 from spectough.spectra import spectrum
 from spectough.structures import has_hamilton_cycle
 from spectough.toughness import exact_toughness
-from tests._lemmas import (independence_upper_bound, proof_partition,
-                           separation_verify)
+from tests._lemmas import (NotApplicableError, independence_upper_bound,
+                           proof_partition, separation_verify)
 from tests._oracles import exhaustive_toughness, max_independent_set_size
 from tests.conftest import CLI_ENV, partitions
 
@@ -111,7 +110,7 @@ def test_06_proposition_cases(analyzed_corpus):
             continue
         checked += 1
         cert = exact_toughness(g)
-        assert cert.value_float_floor() >= rec["bd0"] - 1e-6, rec["graph6"]
+        assert float(cert.value) >= rec["bd0"] - 1e-6, rec["graph6"]
     assert checked > 1000
     report(6, f"proposition cases hold on {checked} flagged graphs")
 
@@ -186,8 +185,8 @@ def test_11_toughness_self_check(analyzed_corpus):
     for g, rec in analyzed_corpus:
         if g.n > 9:
             continue
-        assert (exact_toughness(g).value_str()
-                == exhaustive_toughness(g).value_str()), rec["graph6"]
+        assert (exact_toughness(g).value
+                == exhaustive_toughness(g).value), rec["graph6"]
         checked += 1
     for n in range(4, 13):
         # documented discrepancy: the cycle toughness is 1, not 2

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectough.bounds import _subset_sum_hits, bound_report, detect_prop2_cases
-from spectough.errors import NotApplicableError
 from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
                               mask_of, path, petersen)
 from spectough.scan import analyze_graph
@@ -154,8 +153,8 @@ class TestCaseDetection:
         assert flags == {"i": True, "ii": True, "iii": True, "iv": True}
 
     def test_needs_finite_certificate(self):
-        with pytest.raises(NotApplicableError):
-            detect_prop2_cases(complete(4), exact_toughness(complete(4)))
+        with pytest.raises(ValueError):
+            exact_toughness(complete(4))
 
 
 class TestToughnessFromRatio:

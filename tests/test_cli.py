@@ -352,6 +352,13 @@ class TestHunt:
         assert main(["hunt", str(corpus)]) == 0
         assert json.loads(capsys.readouterr().out)["scanned"] == 4
 
+    def test_file_prefix_names_a_corpus(self, tmp_path, monkeypatch, capsys):
+        # no '/' and no .g6 suffix: only the prefix makes this a path
+        (tmp_path / "corpus.txt").write_text("Bg\nCl\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["hunt", "file:corpus.txt", "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["scanned"] == 2
+
     def test_frontier_needs_no_search_below_toughness_one(self, capsys,
                                                           monkeypatch):
         def no_search(*args, **kwargs):

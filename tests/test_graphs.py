@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectough.errors import Graph6Error
+from spectough.families import generate_family
 from spectough.graphs import (Graph, complete, complete_multipartite,
                               components_after_removal, cycle, gnp, mask_of,
                               parse_graph6, path, petersen, write_graph6)
@@ -180,6 +182,20 @@ class TestGenerators:
     def test_gnp_deterministic(self):
         assert gnp(12, 0.5, 99) == gnp(12, 0.5, 99)
         assert gnp(12, 0.5, 99) != gnp(12, 0.5, 100)
+
+    @pytest.mark.parametrize("spec,first", [
+        ("cycle:3..1000000", cycle(3)),
+        ("kss1:1..1000000", complete_multipartite([1, 2]))])
+    def test_family_range_is_lazy(self, spec, first):
+        # a range of a million orders must not be built before the first draw
+        tracemalloc.start()
+        try:
+            graphs = generate_family(spec)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
+        assert next(graphs) == first
 
 
 # gnp(n, p, seed) as graph6, recorded before G(n, p) moved into the kernel

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectough import spectra
+from spectough.errors import EigenConvergenceError
 from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
-                              path, petersen)
+                              path, petersen, write_graph6)
+from spectough.scan import ScanConfig, scan_line
 from spectough.spectra import jacobi_eigenvalues, laplacian_matrix, spectrum
 
 
@@ -59,6 +62,16 @@ def test_jacobi_matches_lapack(n, seed):
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_jacobi_non_convergence(monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_SWEEPS", 1)
+    with pytest.raises(EigenConvergenceError) as info:
+        jacobi_eigenvalues(laplacian_matrix(petersen()))
+    # the scan keeps going: the graph becomes an ERROR record
+    rec = scan_line(write_graph6(petersen()), ScanConfig())
+    assert rec["status"] == "ERROR(EigenConvergenceError)"
+    assert rec["error"] == str(info.value)
 
 
 @pytest.mark.parametrize("matrix", [

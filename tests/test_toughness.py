@@ -1,14 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectough.errors import NotApplicableError
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
 from spectough.toughness import exact_toughness, is_r_tough
-from tests._lemmas import proof_partition
+from tests._lemmas import NotApplicableError, proof_partition
 from tests._oracles import exhaustive_toughness
 from tests.conftest import partitions
 
@@ -29,14 +29,13 @@ class TestExactToughness:
         assert cert.value == Fraction(1) and cert.c == 2
 
     def test_complete(self):
-        cert = exact_toughness(complete(5))
-        assert cert.kind == "infinite" and cert.value_str() == "inf"
+        with pytest.raises(ValueError):
+            exact_toughness(complete(5))
 
     def test_disconnected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        cert = exact_toughness(g)
-        assert cert.kind == "zero" and cert.s_mask == 0
-        assert cert.value_str() == "0"
+        with pytest.raises(ValueError):
+            exact_toughness(g)
 
     def test_capacity(self):
         assert exact_toughness(cycle(15)).value == Fraction(1)
@@ -60,7 +59,12 @@ class TestExactToughness:
     @given(n=st.integers(4, 9), seed=st.integers(0, 2**32))
     def test_pruned_equals_exhaustive(self, n, seed):
         g = gnp(n, 0.5, seed)
-        assert exact_toughness(g).value_str() == exhaustive_toughness(g).value_str()
+        if g.is_complete() or not g.is_connected():
+            for search in (exact_toughness, exhaustive_toughness):
+                with pytest.raises(ValueError):
+                    search(g)
+            return
+        assert exact_toughness(g).value == exhaustive_toughness(g).value
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(4, 9), seed=st.integers(0, 2**32),
@@ -74,12 +78,14 @@ class TestExactToughness:
         u, v = non_edges[pick % len(non_edges)]
         bigger = Graph.from_edges(n, g.edges() + [(u, v)])
 
-        def as_value(cert):
-            if cert.kind == "infinite":
-                return Fraction(10**9)
-            return cert.value
+        def t(h):
+            if h.is_complete():
+                return math.inf
+            if not h.is_connected():
+                return 0
+            return exact_toughness(h).value
 
-        assert as_value(exact_toughness(bigger)) >= as_value(exact_toughness(g))
+        assert t(bigger) >= t(g)
 
 
 class TestIsRTough:
