@@ -4,6 +4,8 @@ Both backends must return identical results; tests cross-check them.
 Subsets are enumerated by increasing size and, within a size, in
 lexicographic order of the ascending vertex tuple, so "first strict
 improvement wins" yields the documented deterministic tie-break.
+``reach`` is the one reachability walk: the cut search's component
+count, the Hamilton prune and spectough.graphs all call it.
 """
 
 from __future__ import annotations
@@ -11,20 +13,25 @@ from __future__ import annotations
 BACKEND_NAME = "pure"
 
 
+def reach(adj: tuple[int, ...], seed: int, allowed: int) -> int:
+    """The vertices of ``allowed`` that paths inside ``allowed`` connect to
+    ``seed`` (a one-vertex bitset), seed included: a frontier walk that
+    adds each frontier vertex's unseen neighbours in ``allowed``."""
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        new = adj[low.bit_length() - 1] & allowed & ~comp
+        comp |= new
+        frontier = (frontier ^ low) | new
+    return comp
+
+
 def _component_count(n: int, adj: tuple[int, ...], removed: int) -> int:
     rest = ((1 << n) - 1) & ~removed
     count = 0
     while rest:
+        rest &= ~reach(adj, rest & -rest, rest)
         count += 1
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & rest & ~comp
-            comp |= new
-            frontier |= new
-        rest &= ~comp
     return count
 
 
@@ -81,16 +88,8 @@ def hamilton_cycle(n: int, adj: tuple[int, ...]) -> bool:
             if avail.bit_count() < 2:
                 return False
         # unvisited region plus the path head must be connected
-        comp = 1 << current
-        frontier = comp
-        reach = rest | comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & reach & ~comp
-            comp |= new
-            frontier |= new
-        return comp & rest == rest
+        head = 1 << current
+        return reach(adj, head, rest | head) & rest == rest
 
     def extend(v: int, visited: int) -> bool:
         if visited == full:

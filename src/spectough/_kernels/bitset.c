@@ -3,7 +3,8 @@
  * A step-for-step mirror of _ref.py: the same enumeration order, the
  * same pruning and the same tie-break, so both backends return
  * identical results.  Vertex sets are uint64_t bitsets; the Python
- * binding checks n <= 62 and passes exactly n adjacency rows.
+ * binding checks n <= 62 and passes exactly n adjacency rows.  reach is
+ * the one frontier walk; the component count and Hamilton prune call it.
  */
 
 #include <stdint.h>
@@ -11,23 +12,26 @@
 #define POPCOUNT(x) __builtin_popcountll(x)
 #define CTZ(x) __builtin_ctzll(x)
 
+/* The vertices of allowed that paths inside allowed connect to seed (a
+ * one-vertex bitset), seed included, as _ref.reach. */
+static uint64_t reach(const uint64_t *adj, uint64_t seed, uint64_t allowed)
+{
+    uint64_t comp = seed, frontier = seed;
+    while (frontier) {
+        uint64_t low = frontier & -frontier;
+        uint64_t new_ = adj[CTZ(low)] & allowed & ~comp;
+        comp |= new_;
+        frontier = (frontier ^ low) | new_;
+    }
+    return comp;
+}
+
 static int component_count(int n, const uint64_t *adj, uint64_t removed)
 {
     uint64_t rest = (((uint64_t)1 << n) - 1) & ~removed;
     int count = 0;
-    while (rest) {
-        uint64_t comp = rest & -rest;
-        uint64_t frontier = comp;
-        count++;
-        while (frontier) {
-            uint64_t low = frontier & -frontier;
-            uint64_t new_ = adj[CTZ(low)] & rest & ~comp;
-            frontier ^= low;
-            comp |= new_;
-            frontier |= new_;
-        }
-        rest &= ~comp;
-    }
+    for (; rest; count++)
+        rest &= ~reach(adj, rest & -rest, rest);
     return count;
 }
 
@@ -80,17 +84,8 @@ static int feasible(const uint64_t *adj, uint64_t full, int current,
             return 0;
     }
     /* unvisited region plus the path head must be connected */
-    uint64_t comp = (uint64_t)1 << current;
-    uint64_t frontier = comp;
-    uint64_t reach = rest | comp;
-    while (frontier) {
-        uint64_t low = frontier & -frontier;
-        uint64_t new_ = adj[CTZ(low)] & reach & ~comp;
-        frontier ^= low;
-        comp |= new_;
-        frontier |= new_;
-    }
-    return (comp & rest) == rest;
+    uint64_t head = (uint64_t)1 << current;
+    return (reach(adj, head, rest | head) & rest) == rest;
 }
 
 static int extend(const uint64_t *adj, uint64_t full, int v, uint64_t visited)

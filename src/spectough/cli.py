@@ -103,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*",
                    help="family parameters, e.g. 3..6 or 8 0.5")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=int, default=1,
+                   help="graphs to draw for gnp (default 1); other families "
+                        "print all their graphs and ignore it")
     p.add_argument("--output", help="output path (default stdout)")
     return ap
 
@@ -273,10 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"analyze": cmd_analyze, "scan": cmd_scan,
                "hunt": cmd_hunt, "gen": cmd_gen}[args.command]
-    for flag, least in (("jobs", 1), ("count", 0), ("budget", 0)):
+    for flag, least in (("jobs", 1), ("count", 0), ("budget", 0),
+                        ("cap_toughness", 0), ("cap_oracle", 0)):
         if getattr(args, flag, least) < least:
-            print(f"{args.command}: --{flag} must be at least {least}",
-                  file=sys.stderr)
+            print(f"{args.command}: --{flag.replace('_', '-')} must be at "
+                  f"least {least}", file=sys.stderr)
             return EXIT_USAGE
     try:
         code = handler(args)

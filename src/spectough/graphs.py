@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
-from ._kernels._ref import SplitMix64  # noqa: F401  (the family seeders' PRNG)
+from ._kernels._ref import SplitMix64, reach  # noqa: F401  (the seeders' PRNG)
 from .errors import Graph6Error
 
 GRAPH6_MAX_N = _kernels.MAX_N
@@ -115,15 +115,9 @@ class Graph:
         return self.edge_count == self.n * (self.n - 1) // 2
 
     def is_connected(self) -> bool:
-        """Breadth-first from vertex 0, stopping once every vertex is seen."""
-        adj, full = self.adj, self.full_mask
-        seen = frontier = 1
-        while frontier and seen != full:
-            low = frontier & -frontier
-            new = adj[low.bit_length() - 1] & ~seen
-            seen |= new
-            frontier = (frontier ^ low) | new
-        return seen == full
+        """Whether the kernels' walk (``_ref.reach``) from vertex 0 reaches
+        every vertex."""
+        return reach(self.adj, 1, self.full_mask) == self.full_mask
 
     def complement(self) -> "Graph":
         full = self.full_mask
@@ -137,22 +131,13 @@ def components_after_removal(g: Graph, removed: int = 0) -> list[int]:
     Returns component bitsets sorted by ascending size, ties by smallest
     member.  Removing every vertex is rejected: no components remain.
     """
-    removed &= g.full_mask
     rest = g.full_mask & ~removed
     if not rest:
         raise ValueError("cannot remove the entire vertex set")
     comps = []
     while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = g.adj[low.bit_length() - 1] & rest & ~comp
-            comp |= new
-            frontier |= new
-        comps.append(comp)
-        rest &= ~comp
+        comps.append(reach(g.adj, rest & -rest, rest))
+        rest &= ~comps[-1]
     comps.sort(key=lambda m: (m.bit_count(), m & -m))
     return comps
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from spectough.graphs import Graph, components_after_removal, iter_bits, mask_of
+from spectough.graphs import Graph, iter_bits, mask_of
 from spectough.structures import has_factor
 from spectough.toughness import ToughnessCertificate
 
@@ -33,6 +33,22 @@ def max_independent_set_size(g: Graph) -> int:
     return best
 
 
+def component_count(g: Graph, removed: int) -> int:
+    """Components of G minus the ``removed`` bitset, by union-find over the
+    edges of G - S (no bitset frontier walk, unlike the kernels)."""
+    parent = {v: v for v in range(g.n) if not removed >> v & 1}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        if u in parent and v in parent:
+            parent[find(u)] = find(v)
+    return sum(1 for v in parent if parent[v] == v)
+
+
 def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     """No-pruning reference search; kept independent of the kernels on purpose."""
     if g.n > cap:
@@ -46,12 +62,12 @@ def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     for k in range(1, g.n - 1):
         for combo in combinations(range(g.n), k):
             mask = mask_of(combo)
-            comps = components_after_removal(g, mask)
-            if len(comps) < 2:
+            c = component_count(g, mask)
+            if c < 2:
                 continue
-            val = Fraction(k, len(comps))
+            val = Fraction(k, c)
             if best is None or val < best:
-                best, best_mask, best_c = val, mask, len(comps)
+                best, best_mask, best_c = val, mask, c
     return ToughnessCertificate(s_mask=best_mask, c=best_c)
 
 

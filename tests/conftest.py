@@ -1,27 +1,25 @@
 """Shared fixtures: the verification corpus and its analysis records.
 
-The corpus is the deterministic stress-test population used across the
-acceptance suite: every cycle/path/star up to n=12, every complete
-multipartite graph up to n=10, and seeded random graphs with n in 5..12,
-filtered to connected non-complete graphs (at least 5,000 total).
+The corpus is the benchmark's acceptance corpus, built by
+``perfbench/inputs.py`` (``corpus_lines``): every cycle/path/star up to
+n=12, every complete multipartite graph up to n=10, and seeded random
+graphs with n in 5..12, filtered to connected non-complete graphs
+(5,048 in all).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 
 import pytest
 
 from spectough import KERNEL_BACKEND
-from spectough.graphs import (Graph, SplitMix64, complete_multipartite, cycle,
-                              gnp, path, write_graph6)
-from spectough.scan import ScanConfig, analyze_graph, scan_lines
+from spectough.graphs import Graph, parse_graph6
+from spectough.scan import ScanConfig, scan_lines
 
-GNP_MASTER_SEED = 2024
-GNP_TARGET = 4900
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 # Environment for CLI subprocesses: they run this source tree even when
 # the package is not installed.
 CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -30,6 +28,15 @@ CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 def pytest_report_header(config):
     return f"spectough kernel backend: {KERNEL_BACKEND}"
+
+
+def load_perfbench(name: str):
+    """The benchmark script ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def partitions(n: int, max_part: int | None = None):
@@ -44,38 +51,12 @@ def partitions(n: int, max_part: int | None = None):
             yield [first] + rest
 
 
-def family_graphs() -> list[Graph]:
-    graphs: list[Graph] = []
-    for n in range(3, 13):
-        graphs.append(cycle(n))
-        graphs.append(path(n))
-        graphs.append(complete_multipartite([n - 1, 1]))  # star K_{1,n-1}
-    for n in range(3, 11):
-        for sizes in partitions(n):
-            if 2 <= len(sizes) < n:  # excludes K_n (all parts 1) and one block
-                graphs.append(complete_multipartite(sizes))
-    return graphs
-
-
-def gnp_graphs(target: int = GNP_TARGET) -> list[Graph]:
-    seeder = SplitMix64(GNP_MASTER_SEED)
-    graphs: list[Graph] = []
-    i = 0
-    while len(graphs) < target:
-        n = 5 + i % 8
-        i += 1
-        g = gnp(n, 0.5, seeder.next_u64())
-        if g.is_connected() and not g.is_complete():
-            graphs.append(g)
-    return graphs
-
-
 @pytest.fixture(scope="session")
 def corpus() -> list[tuple[str, Graph]]:
-    graphs = family_graphs() + gnp_graphs()
-    graphs = [g for g in graphs if g.is_connected() and not g.is_complete()]
-    assert len(graphs) >= 5000
-    return [(write_graph6(g), g) for g in graphs]
+    inputs = load_perfbench("inputs")
+    lines = inputs.corpus_lines()
+    assert inputs.sha256_lines(lines) == inputs.CORPUS_SHA256
+    return [(g6, parse_graph6(g6)) for g6 in lines]
 
 
 @pytest.fixture(scope="session")

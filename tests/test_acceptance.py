@@ -9,6 +9,10 @@ graphs n <= 10, and seeded random graphs n in 5..12.
 from __future__ import annotations
 
 import hashlib
+import os
+import shutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -25,7 +29,7 @@ from spectough.toughness import exact_toughness
 from tests._lemmas import (NotApplicableError, independence_upper_bound,
                            proof_partition, separation_verify)
 from tests._oracles import exhaustive_toughness, max_independent_set_size
-from tests.conftest import CLI_ENV, partitions
+from tests.conftest import CLI_ENV, SRC, partitions
 
 
 def report(k: int, name: str, ok: bool = True):
@@ -196,8 +200,6 @@ def test_11_toughness_self_check(analyzed_corpus):
 
 
 def test_12_scan_determinism(tmp_path, corpus):
-    import subprocess
-    import sys
     corpus_file = tmp_path / "corpus.g6"
     corpus_file.write_text("".join(g6 + "\n" for g6, _ in corpus[:300]))
     outs = []
@@ -231,15 +233,47 @@ def test_13_record_stream_pinned(corpus_records):
 # stream pin above, on both kernel backends.
 HUNT_OUTPUT_SHA256 = (
     "b2000f32675cc7d6944018bb9617dc9bf147416a0aab1fd71496c5402b733ea9")
+HUNT_ARGV = ["hunt", "petersen", "kss1:2..6", "gnp:10,0.5", "--seed", "1",
+             "--count", "50"]
 
 
 def test_14_hunt_output_pinned(tmp_path):
     digests = []
     for jobs in ("1", "2"):
         out = tmp_path / f"findings{jobs}.json"
-        assert main(["hunt", "petersen", "kss1:2..6", "gnp:10,0.5", "--seed",
-                     "1", "--count", "50", "--jobs", jobs,
-                     "--output", str(out)]) == 0
+        assert main([*HUNT_ARGV, "--jobs", jobs, "--output", str(out)]) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     report(14, "hunt findings document is pinned at --jobs 1 and 2",
            digests == [HUNT_OUTPUT_SHA256] * 2)
+
+
+def test_15_pure_backend_end_to_end(tmp_path, corpus, corpus_records):
+    # A copy of the package without the built kernel library runs the pure
+    # kernels; its scan and hunt output must be the in-tree output, byte
+    # for byte, whichever backend the tree runs.
+    shutil.copytree(os.path.join(SRC, "spectough"), tmp_path / "spectough",
+                    ignore=shutil.ignore_patterns("_bitset.*", "__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], capture_output=True,
+                              env=env, cwd=tmp_path)
+
+    probe = run("-c", "import spectough; print(spectough.KERNEL_BACKEND, "
+                      "spectough.__file__)")
+    assert probe.stdout.decode().split() == [
+        "pure", str(tmp_path / "spectough" / "__init__.py")]
+    corpus_file = tmp_path / "corpus.g6"
+    corpus_file.write_text("".join(g6 + "\n" for g6, _ in corpus[::8]))
+    scan = run("-m", "spectough", "scan", str(corpus_file), "--jobs", "2")
+    assert scan.returncode == 0, scan.stderr
+    findings = tmp_path / "findings.json"
+    hunt = run("-m", "spectough", *HUNT_ARGV, "--jobs", "2",
+               "--output", str(findings))
+    assert hunt.returncode == 0, hunt.stderr
+    expected = [record_to_jsonl(r) for r in corpus_records[::8]]
+    report(15, f"pure backend: {len(expected)} scan records and the hunt "
+               "findings equal the in-tree output",
+           scan.stdout.decode().splitlines() == expected
+           and hashlib.sha256(findings.read_bytes()).hexdigest()
+           == HUNT_OUTPUT_SHA256)

@@ -3,29 +3,17 @@ guarantee oracles by string; these tests fail on a rename that would
 otherwise only show up as a missing target or as zeroed metrics."""
 
 import importlib
-import importlib.util
-import os
 
 from spectough import structures
 from spectough.graphs import (complete_multipartite, cycle, gnp, path,
                               petersen)
 from spectough.spectra import spectrum
 from spectough.structures import guarantees
-
-SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "spans.py")
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests.conftest import load_perfbench
 
 
 def test_every_target_resolves():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     missing = [f"{module}.{attr}" for module, attr, _ in spans.TARGETS
                if not hasattr(importlib.import_module(f"spectough.{module}"),
                               attr)]
@@ -33,7 +21,7 @@ def test_every_target_resolves():
 
 
 def test_every_oracle_has_a_kind():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     graphs = [cycle(4), cycle(5), cycle(6), path(5), petersen(),
               petersen().complement(), complete_multipartite([2, 2, 2]),
               complete_multipartite([2, 2, 1]),

@@ -179,7 +179,11 @@ class TestScan:
         ["hunt", "kss1:2", "--budget", "-1"],
         ["hunt", "gnp:8,0.5", "--count", "-1"],
         ["gen", "gnp", "8", "0.5", "--count", "-2"],
-    ], ids=["hunt-budget", "hunt-count", "gen-count"])
+        ["analyze", "Cl", "--cap-oracle", "-3", "--cap-toughness", "-1"],
+        ["scan", "missing.g6", "--cap-oracle", "-3"],
+        ["hunt", "kss1:2", "--cap-toughness", "-1"],
+    ], ids=["hunt-budget", "hunt-count", "gen-count", "analyze-caps",
+            "scan-cap-oracle", "hunt-cap-toughness"])
     def test_negative_count_is_usage_error(self, capsys, argv):
         assert main(argv) == 2
         out, err = capsys.readouterr()

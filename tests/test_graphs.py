@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spectough._kernels import _ref
 from spectough.errors import Graph6Error
 from spectough.families import generate_family
 from spectough.graphs import (Graph, complete, complete_multipartite,
                               components_after_removal, cycle, gnp, mask_of,
                               parse_graph6, path, petersen, write_graph6)
+from tests._oracles import component_count
 
 GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
@@ -144,16 +146,25 @@ class TestComponents:
         with pytest.raises(ValueError):
             components_after_removal(path(3), 0b111)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 14), seed=st.integers(0, 2**32))
-    def test_partition_of_rest(self, n, seed):
-        g = gnp(n, 0.3, seed)
-        comps = components_after_removal(g, 1)  # drop vertex 0
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 20), seed=st.integers(0, 2**32),
+           p=st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]), data=st.data())
+    def test_partition_of_rest(self, n, seed, p, data):
+        # the one bitset walk (reach) against the union-find oracle
+        g = gnp(n, p, seed)
+        assert g.is_connected() == (component_count(g, 0) == 1)
+        removed = data.draw(st.integers(0, g.full_mask - 1), label="S")
+        comps = components_after_removal(g, removed)
         union = 0
-        for c in comps:
-            assert not union & c
-            union |= c
-        assert union == g.full_mask & ~1
+        for comp in comps:
+            assert comp and not union & comp
+            union |= comp
+            assert component_count(g, g.full_mask & ~comp) == 1  # connected
+        assert union == g.full_mask & ~removed
+        # connected disjoint parts covering V - S, and as many as the oracle
+        # counts in G - S: so no edge joins two of them
+        assert len(comps) == component_count(g, removed)
+        assert len(comps) == _ref._component_count(n, g.adj, removed)
 
 
 class TestGenerators:
