@@ -2,15 +2,19 @@
 
 The eigensolver is a plain dense cyclic Jacobi iteration on rows of
 Python floats: at these orders (n <= 62) it is fast enough, bit-for-bit
-portable, and easy to audit.  Sweeps stop when the off-diagonal
+portable, and easy to audit.  Each rotation updates rows p and q in
+place, then columns p and q.  Sweeps stop when the off-diagonal
 Frobenius norm drops below 1e-12 times the Frobenius norm of the input
-matrix.
+matrix; both norms are plain left-to-right sums (not the compensated
+``sum()`` of Python 3.12+), so every Python returns the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Sequence
 
 from .errors import EigenConvergenceError
@@ -37,15 +41,21 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     rows with a finite Frobenius norm, so finite entries, and
     EigenConvergenceError if MAX_SWEEPS sweeps do not reach the
     off-diagonal threshold (never silently returns a bad spectrum).
+    The caller's matrix is never modified.
     """
     try:
         a = [[float(x) for x in row] for row in matrix]
     except TypeError:
         raise ValueError("matrix must be square and symmetric") from None
     n = len(a)
-    if not a or any(len(row) != n for row in a) or not _symmetric(a):
+    if not a or any(len(row) != n for row in a):
         raise ValueError("matrix must be square and symmetric")
-    fro = math.sqrt(sum(x * x for row in a for x in row))
+    fro = math.sqrt(_sum_squares(a))
+    # an exact transpose proves symmetry, unless a NaN equals itself by
+    # identity there (fro is then NaN); the tolerance scan decides the rest
+    if ((math.isnan(fro) or a != [list(col) for col in zip(*a)])
+            and not _symmetric(a)):
+        raise ValueError("matrix must be square and symmetric")
     if not math.isfinite(fro):
         # an infinite entry, or entries so large that the norm overflows
         # and the convergence threshold would pass at once
@@ -56,36 +66,54 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
         return [0.0] * n
     thresh = OFFDIAG_REL_TOL * fro
     skip = 1e-300  # rotations on exact zeros are pointless
+    idx = range(n)
     for _ in range(MAX_SWEEPS):
-        # the diagonal enters as (x - x)**2: 0.0, or NaN if x is not
-        # finite, and then the sweeps never converge
-        off = math.sqrt(sum(x * x if p != q else (x - x) * (x - x)
-                            for p, row in enumerate(a)
-                            for q, x in enumerate(row)))
+        # entries stay finite (rotations keep the Frobenius norm), so
+        # zeroing the diagonal leaves exactly the off-diagonal sum
+        diag = [a[p][p] for p in idx]
+        for p in idx:
+            a[p][p] = 0.0
+        off = math.sqrt(_sum_squares(a))
+        for p in idx:
+            a[p][p] = diag[p]
         if off <= thresh:
-            return sorted(a[p][p] for p in range(n))
+            return sorted(diag)
         for p in range(n - 1):
+            rp = a[p]
             for q in range(p + 1, n):
-                apq = a[p][q]
+                apq = rp[q]
                 if abs(apq) <= skip:
                     continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                rq = a[q]
+                theta = (rq[q] - rp[p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (
                     abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                # rows p and q first, then columns p and q of the new rows
-                rp, rq = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                # rows p and q in place first, then columns p and q
+                for k in idx:
+                    x = rp[k]
+                    y = rq[k]
+                    rp[k] = c * x - s * y
+                    rq[k] = s * x + c * y
                 for row in a:
                     x, y = row[p], row[q]
                     row[p] = c * x - s * y
                     row[q] = s * x + c * y
-                a[p][q] = 0.0
-                a[q][p] = 0.0
+                rp[q] = 0.0
+                rq[p] = 0.0
     raise EigenConvergenceError(
         f"Jacobi did not converge within {MAX_SWEEPS} sweeps (n={n})")
+
+
+def _sum_squares(rows: list[list[float]]) -> float:
+    """Sum of x*x over the rows, row-major, as plain left-to-right float
+    additions: the compensated ``sum()`` of Python 3.12+ would round
+    differently, so every Python gets the same bits."""
+    total = 0.0
+    for row in rows:
+        total = reduce(add, map(mul, row, row), total)
+    return total
 
 
 def _symmetric(a: list[list[float]]) -> bool:

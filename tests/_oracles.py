@@ -6,9 +6,11 @@ shares no kernel with it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
+from spectough.errors import EigenConvergenceError
 from spectough.graphs import Graph, iter_bits, mask_of
 from spectough.structures import has_factor
 from spectough.toughness import ToughnessCertificate
@@ -107,3 +109,61 @@ def is_1s_factor_critical(g: Graph, s: int) -> bool:
     """G minus every s-subset of vertices has a perfect matching."""
     return all(_perfect_matching_without(g, mask_of(combo))
                for combo in combinations(range(g.n), s))
+
+
+def jacobi_eigenvalues(matrix) -> list[float]:
+    """Reference cyclic Jacobi sweep: each rotation builds new rows p and
+    q, then rotates columns p and q.  Both norms are explicit left-to-right
+    loops, which is what ``sum()`` does on Python 3.11, so this defines the
+    bits that ``spectra.jacobi_eigenvalues`` must return on every Python;
+    its input checks raise the same messages."""
+    try:
+        a = [[float(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ValueError("matrix must be square and symmetric") from None
+    n = len(a)
+    if not a or any(len(row) != n for row in a) or not all(
+            x == y or (math.isfinite(y) and abs(x - y) <= 1e-8 + 1e-5 * abs(y))
+            for i, row in enumerate(a)
+            for x, y in zip(row, (other[i] for other in a))):
+        raise ValueError("matrix must be square and symmetric")
+    total = 0.0
+    for row in a:
+        for x in row:
+            total += x * x
+    fro = math.sqrt(total)
+    if not math.isfinite(fro):
+        raise ValueError("matrix must have a finite Frobenius norm")
+    if n == 1:
+        return [a[0][0]]
+    if fro == 0.0:
+        return [0.0] * n
+    thresh = 1e-12 * fro
+    for _ in range(100):
+        total = 0.0
+        for p, row in enumerate(a):
+            for q, x in enumerate(row):
+                total += x * x if p != q else (x - x) * (x - x)
+        if math.sqrt(total) <= thresh:
+            return sorted(a[p][p] for p in range(n))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                a[p][q] = 0.0
+                a[q][p] = 0.0
+    raise EigenConvergenceError(
+        f"Jacobi did not converge within 100 sweeps (n={n})")

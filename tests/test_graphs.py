@@ -77,8 +77,8 @@ class TestGraph6Write:
         with pytest.raises(Graph6Error):
             write_graph6(big)
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 30), seed=st.integers(0, 2**64 - 1),
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 62), seed=st.integers(0, 2**64 - 1),
            p=st.floats(0.0, 1.0))
     def test_round_trip(self, n, seed, p):
         g = gnp(n, p, seed)

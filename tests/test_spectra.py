@@ -11,6 +11,7 @@ from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
                               path, petersen, write_graph6)
 from spectough.scan import ScanConfig, scan_line
 from spectough.spectra import jacobi_eigenvalues, laplacian_matrix, spectrum
+from tests import _oracles
 
 
 def test_laplacian_k2():
@@ -74,14 +75,80 @@ def test_jacobi_non_convergence(monkeypatch):
     assert rec["error"] == str(info.value)
 
 
+def _outcome(solver, matrix):
+    """The spectrum as exact bit patterns, or the error raised instead."""
+    try:
+        return [x.hex() for x in solver(matrix)]
+    except (ValueError, EigenConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 @pytest.mark.parametrize("matrix", [
     [], [1.0, 2.0], [[1.0, 2.0], [3.0]], [[math.nan]], [[math.inf]],
     [[1.0, math.inf], [math.inf, 1.0]], [[1.0, 0.0], [0.0, math.inf]],
     [[1e200, 1e200], [1e200, 1e200]],  # finite, but the norm overflows
+    [[1.0, math.inf], [-math.inf, 1.0]], [[1.0, 1.0 + 1e-4], [1.0, 1.0]],
+    # math.nan is one object, equal to itself by identity in list ``==``
+    [[1.0, math.nan], [math.nan, 1.0]], [[math.nan, 0.0], [0.0, 1.0]],
 ])
 def test_jacobi_rejects_malformed(matrix):
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(matrix)
+    ours = _outcome(jacobi_eigenvalues, matrix)
+    assert ours[0] == "ValueError"
+    assert ours == _outcome(_oracles.jacobi_eigenvalues, matrix)
+
+
+def test_jacobi_bit_identical_on_corpus(corpus):
+    for g6, g in corpus:
+        m = laplacian_matrix(g)
+        assert _outcome(jacobi_eigenvalues, m) == _outcome(
+            _oracles.jacobi_eigenvalues, m), g6
+
+
+def _signed(lo, hi):
+    return st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                     st.floats(lo, hi))
+
+
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-100.0, 100.0),
+                    _signed(1e-301, 1e-299), _signed(1e149, 1e150))
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """n x n rows, n <= 20: symmetric, or with each entry below the
+    diagonal its mirror times (1 + e), |e| <= 9e-6, which _symmetric's
+    tolerance accepts."""
+    n = draw(st.integers(1, 20))
+    rtol = draw(st.sampled_from([0.0, 9e-6]))
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(ENTRIES)
+            if j > i and rtol:
+                a[j][i] *= 1.0 + draw(st.floats(-rtol, rtol))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_symmetric_matrices())
+def test_jacobi_bit_identical_near_symmetric(matrix):
+    before = [row[:] for row in matrix]
+    ours = _outcome(jacobi_eigenvalues, matrix)
+    assert matrix == before  # rows are rotated in a private copy
+    assert ours[0] != "ValueError"
+    assert ours == _outcome(_oracles.jacobi_eigenvalues, matrix)
+
+
+def test_norms_are_plain_sums():
+    # 1 + 10 * 1e-16: each 1e-16 rounds away in a left-to-right sum, while
+    # a compensated sum (math.fsum, or sum() on Python 3.12+) keeps them
+    rows = [[1.0] + [1e-8] * 5, [1e-8] * 5]
+    loop = 0.0
+    for row in rows:
+        for x in row:
+            loop += x * x
+    assert spectra._sum_squares(rows) == loop == 1.0
+    assert math.fsum(x * x for row in rows for x in row) != loop
 
 
 @settings(max_examples=50, deadline=None)
