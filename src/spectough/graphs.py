@@ -176,17 +176,16 @@ def parse_graph6(text: str) -> Graph:
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
     bits >>= pad
-    # column j is the field x(0,j) .. x(j-1,j) after columns 1 .. j-1;
-    # reversed and left-padded to n digits, it reads as row j's neighbours
-    # below j (the inverse of write_graph6)
-    rev = format(bits, f"0{nbits}b")[::-1]
-    low = [rev[nbits - j * (j + 1) // 2:nbits - j * (j - 1) // 2].rjust(n, "0")
-           for j in range(n)]
-    # in the last row first, digit n-1-j of each row reads as j's neighbours
-    # above j
-    flat = "".join(reversed(low))
-    return Graph.from_adj_masks([int(row, 2) | int(flat[n - 1 - j::n], 2)
-                                 for j, row in enumerate(low)])
+    masks = [0] * n
+    # column-major upper triangle: the first emitted bit is the highest here
+    pos = nbits - 1
+    for j in range(1, n):
+        for i in range(j):
+            if bits >> pos & 1:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+            pos -= 1
+    return Graph.from_adj_masks(masks)
 
 
 def write_graph6(g: Graph) -> str:

@@ -48,14 +48,9 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     except TypeError:
         raise ValueError("matrix must be square and symmetric") from None
     n = len(a)
-    if not a or any(len(row) != n for row in a):
+    if not a or any(len(row) != n for row in a) or not _symmetric(a):
         raise ValueError("matrix must be square and symmetric")
     fro = math.sqrt(_sum_squares(a))
-    # an exact transpose proves symmetry, unless a NaN equals itself by
-    # identity there (fro is then NaN); the tolerance scan decides the rest
-    if ((math.isnan(fro) or a != [list(col) for col in zip(*a)])
-            and not _symmetric(a)):
-        raise ValueError("matrix must be square and symmetric")
     if not math.isfinite(fro):
         # an infinite entry, or entries so large that the norm overflows
         # and the convergence threshold would pass at once

@@ -88,7 +88,8 @@ def _outcome(solver, matrix):
     [[1.0, math.inf], [math.inf, 1.0]], [[1.0, 0.0], [0.0, math.inf]],
     [[1e200, 1e200], [1e200, 1e200]],  # finite, but the norm overflows
     [[1.0, math.inf], [-math.inf, 1.0]], [[1.0, 1.0 + 1e-4], [1.0, 1.0]],
-    # math.nan is one object, equal to itself by identity in list ``==``
+    # math.nan is one object, equal to itself by identity in list ``==``,
+    # so an exact-transpose test alone would accept these two
     [[1.0, math.nan], [math.nan, 1.0]], [[math.nan, 0.0], [0.0, 1.0]],
 ])
 def test_jacobi_rejects_malformed(matrix):
