@@ -1,12 +1,12 @@
 """Command-line front end: analyze | scan | hunt | gen.
 
-Exit codes: 0 clean, 1 findings (counterexample or violation), 2 usage,
-3 internal error (for scan and hunt: any ERROR record, after every record
-is analyzed), 141 when the reader closes stdout early (as in
-``spectough scan big.g6 | head``): the run stops quietly with the status
-of a process killed by SIGPIPE.  --findings-ok waives only bd0
-counterexamples: a violation of a proven bound or guarantee is a software
-bug and always exits 1.
+Exit codes: 0 clean, 1 findings (counterexample or violation), 2 usage
+(an --output that names an input file included), 3 internal error (for
+scan and hunt: any ERROR record, after every record is analyzed), 141
+when the reader closes stdout early (as in ``spectough scan big.g6 |
+head``): the run stops quietly with the status of a process killed by
+SIGPIPE.  --findings-ok waives only bd0 counterexamples: a violation of a
+proven bound or guarantee is a software bug and always exits 1.
 """
 
 from __future__ import annotations
@@ -201,7 +201,33 @@ def _open_corpus(path: str):
     return open(path, encoding="utf-8", errors="replace")
 
 
+def _corpus_path(spec: str) -> str | None:
+    """The file a hunt spec names, or None for a family spec."""
+    if "/" in spec or spec.endswith(".g6") or spec.startswith("file:"):
+        return spec.removeprefix("file:")
+    return None
+
+
+def _output_is_input(prog: str, output: str | None, inputs) -> bool:
+    """Whether --output names one of the input files, reported on stderr:
+    opening it for writing would truncate the corpus before it is read."""
+    if output is None:
+        return False
+    for path in inputs:
+        try:
+            same = os.path.samefile(output, path)
+        except OSError:  # either one missing: nothing to overwrite
+            continue
+        if same:
+            print(f"{prog}: --output {output} is the input file {path}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
+    if _output_is_input("scan", args.output, [args.corpus]):
+        return EXIT_USAGE
     counts: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         try:
@@ -219,21 +245,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 write_csv(scanmod.record_to_csv_fields(rec))
             else:
                 out.write(scanmod.record_to_jsonl(rec) + "\n")
+            if out is sys.stdout:  # a pipe is block-buffered: stream it
+                out.flush()
     return _exit_code("scan", counts, args.findings_ok)
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
+    paths = [_corpus_path(spec) for spec in args.specs]
+    if _output_is_input("hunt", args.output, filter(None, paths)):
+        return EXIT_USAGE
     counts: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         try:
             out = (stack.enter_context(open(args.output, "w"))
                    if args.output else sys.stdout)
             sources = []
-            for spec in args.specs:
-                if ("/" in spec or spec.endswith(".g6")
-                        or spec.startswith("file:")):
-                    sources.append(stack.enter_context(
-                        _open_corpus(spec.removeprefix("file:"))))
+            for spec, path in zip(args.specs, paths):
+                if path is not None:
+                    sources.append(stack.enter_context(_open_corpus(path)))
                 else:
                     sources.append(map(write_graph6, generate_family(
                         spec, seed=args.seed, count=args.count)))

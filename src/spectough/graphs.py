@@ -13,12 +13,16 @@ string per line; lines starting with '#' are comments.
 G(n, p) draws its rows in the kernel library when it is built, and in
 the pure-Python reference otherwise, with identical results; gnp takes
 n <= 62, the graph6 limit that every consumer needs anyway.
+
+The package's records (Graph here, Spectrum, ToughnessCertificate,
+Guarantee and ScanConfig) are typing.NamedTuples: immutable, picklable by
+name, and cheap to import.  Being tuples, they also unpack into their
+fields, have a len, and compare equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
 from ._kernels._ref import SplitMix64, reach  # noqa: F401  (the seeders' PRNG)
@@ -43,8 +47,7 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph: vertex count plus one adjacency bitset per vertex.
 
     Immutable after construction; safe to share across worker processes.

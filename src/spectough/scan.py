@@ -29,9 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import multiprocessing
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds, structures, toughness
 from .errors import Graph6Error
@@ -44,8 +42,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     """The one home of the cap defaults: the largest n each search runs on."""
 
     cap_toughness: int = 14
@@ -178,6 +175,8 @@ def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
         for line in payload:
             yield scan_line(line, config)
         return
+    # Imported here: a --jobs 1 run never needs the pool's ~13 ms import.
+    import multiprocessing
     failed: list[Exception] = []
 
     def feed() -> Iterator[str]:

@@ -12,10 +12,9 @@ matrix; both norms are plain left-to-right sums (not the compensated
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EigenConvergenceError
 from .graphs import Graph, iter_bits
@@ -119,8 +118,7 @@ def _symmetric(a: list[list[float]]) -> bool:
                for x, y in zip(row, (other[i] for other in a)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Ascending Laplacian eigenvalues plus the tolerance for comparing them."""
 
     values: tuple[float, ...]

@@ -21,9 +21,8 @@ one's own order limit, the only size policy in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels
 from .graphs import Graph, iter_bits, mask_of
@@ -211,12 +210,11 @@ def is_1s_factor_critical(g: Graph, s: int) -> bool:
 # guarantee derivation
 
 
-@dataclass(frozen=True)
-class Guarantee:
+class Guarantee(NamedTuple):
     """One structural property promised by the eigenratio."""
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict  # every caller passes its own dict: no shared default
     oracle: Optional[str] = None  # None = emitted but not desk-verifiable
 
     @property
@@ -275,7 +273,7 @@ def guarantees(g: Graph, s: Spectrum) -> list[Guarantee]:
             out.append(Guarantee("k-walk", {"k": k_tree}))
 
     if ratio >= 0.8 - tol:
-        out.append(Guarantee("2-walk"))
+        out.append(Guarantee("2-walk", {}))
 
     return out
 

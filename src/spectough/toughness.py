@@ -10,15 +10,14 @@ decided beside ``scan._status``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class ToughnessCertificate:
+class ToughnessCertificate(NamedTuple):
     """An extremal cut: the vertex set S and the component count of G - S."""
 
     s_mask: int

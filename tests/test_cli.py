@@ -1,8 +1,11 @@
 import csv
 import json
 import multiprocessing
+import os
+import selectors
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -313,6 +316,77 @@ class TestScan:
                 assert code == 0
                 peaks.append(peak_kib / 1024)
             assert abs(peaks[1] - peaks[0]) < 10, (command, peaks)
+
+
+    def test_stdout_records_stream_to_a_pipe(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        fifo = tmp_path / "corpus.g6"
+        os.mkfifo(fifo)
+        env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spectough", "scan", str(fifo),
+             "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        try:
+            with open(fifo, "w") as feed, selectors.DefaultSelector() as sel:
+                feed.write("Bg\n")
+                feed.flush()
+                # the corpus is still open, so only a streamed record arrives
+                sel.register(proc.stdout, selectors.EVENT_READ)
+                got = b""
+                while not got.endswith(b"\n") and sel.select(timeout=60):
+                    chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                    if not chunk:
+                        break
+                    got += chunk
+                assert json.loads(got)["graph6"] == "Bg", got
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "c.g6", "--output", "{dir}/c.g6"],
+        ["hunt", "kss1:2", "{dir}/c.g6", "--jobs", "1", "--output", "./c.g6"],
+        ["hunt", "file:c.g6", "--jobs", "1", "--output", "c.g6"],
+    ], ids=["scan", "hunt", "hunt-file"])
+    def test_output_naming_an_input_exits_2(self, tmp_path, monkeypatch,
+                                            capsys, argv):
+        corpus = tmp_path / "c.g6"
+        corpus.write_bytes(b"Bg\nCl\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        assert corpus.read_bytes() == b"Bg\nCl\n"
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"{argv[0]}: --output ") and "input file" in err
+
+
+# Imports the CLI, then scans at --jobs 1 in the same process, and prints
+# which of the named modules each step loaded.
+STARTUP_PROBE = textwrap.dedent("""
+    import sys
+    heavy = {"dataclasses", "multiprocessing"}
+    before = set(sys.modules)
+    from spectough.cli import main
+    print(sorted(heavy & (set(sys.modules) - before)))
+    assert main(["scan", sys.argv[1], "--jobs", "1", "--output", sys.argv[2]]) == 0
+    print(sorted(heavy & (set(sys.modules) - before)))
+""")
+
+
+def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("Bg\nCl\nCF\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(corpus),
+         str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 3
 
 
 class TestHunt:
