@@ -175,7 +175,8 @@ def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
         for line in payload:
             yield scan_line(line, config)
         return
-    # Imported here: a --jobs 1 run never needs the pool's ~13 ms import.
+    # Imported here, not at the top: a --jobs 1 run starts no pool, and
+    # this import is a large share of the CLI's start-up.
     import multiprocessing
     failed: list[Exception] = []
 

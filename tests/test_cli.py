@@ -6,6 +6,7 @@ import selectors
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -317,7 +318,6 @@ class TestScan:
                 peaks.append(peak_kib / 1024)
             assert abs(peaks[1] - peaks[0]) < 10, (command, peaks)
 
-
     def test_stdout_records_stream_to_a_pipe(self, tmp_path):
         if not hasattr(os, "mkfifo"):
             pytest.skip("no named pipes on this platform")
@@ -328,19 +328,29 @@ class TestScan:
             [sys.executable, "-m", "spectough", "scan", str(fifo),
              "--jobs", "1"],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        deadline = time.monotonic() + 60
         try:
-            with open(fifo, "w") as feed, selectors.DefaultSelector() as sel:
-                feed.write("Bg\n")
-                feed.flush()
-                # the corpus is still open, so only a streamed record arrives
+            while True:  # a FIFO opens for writing once the scan reads it
+                try:
+                    feed = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+            os.write(feed, b"Bg\n")
+            # the corpus is still open, so only a streamed record arrives
+            got = b""
+            with selectors.DefaultSelector() as sel:
                 sel.register(proc.stdout, selectors.EVENT_READ)
-                got = b""
-                while not got.endswith(b"\n") and sel.select(timeout=60):
+                while (not got.endswith(b"\n")
+                       and sel.select(deadline - time.monotonic())):
                     chunk = os.read(proc.stdout.fileno(), 1 << 16)
                     if not chunk:
                         break
                     got += chunk
-                assert json.loads(got)["graph6"] == "Bg", got
+            assert got.endswith(b"\n"), "no record while the corpus is open"
+            assert json.loads(got)["graph6"] == "Bg"
+            os.close(feed)
             assert proc.wait(timeout=60) == 0
         finally:
             proc.kill()

@@ -11,28 +11,29 @@ from spectough.spectra import Spectrum, spectrum
 from spectough.structures import Guarantee
 from spectough.toughness import ToughnessCertificate, exact_toughness
 
+# One instance of each record type, with the name of one of its fields.
 RECORDS = {
-    "Graph": petersen(),
-    "Spectrum": spectrum(petersen()),
-    "ToughnessCertificate": exact_toughness(petersen()),
-    "Guarantee": Guarantee("k-factor", {"k": 2}, "k-factor"),
-    "ScanConfig": ScanConfig(cap_toughness=8),
+    "Graph": (petersen(), "adj"),
+    "Spectrum": (spectrum(petersen()), "values"),
+    "ToughnessCertificate": (exact_toughness(petersen()), "c"),
+    "Guarantee": (Guarantee("k-factor", {"k": 2}, "k-factor"), "params"),
+    "ScanConfig": (ScanConfig(cap_toughness=8), "cap_toughness"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_is_frozen(name):
-    record = RECORDS[name]
+    record, field = RECORDS[name]
     assert type(record).__name__ == name
     with pytest.raises(AttributeError):
-        setattr(record, record._fields[0], None)
+        setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_pickle_round_trip(name):
-    record = RECORDS[name]
+    record, _ = RECORDS[name]
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record
