@@ -17,7 +17,9 @@ import csv
 import itertools
 import json
 import os
+import stat
 import sys
+import time
 
 from . import scan as scanmod
 from .errors import Graph6Error
@@ -29,6 +31,10 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+# While its corpus is a regular file, scan flushes stdout at most this
+# often (seconds) instead of after every record.
+STREAM_FLUSH_S = 0.05
 
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
@@ -225,6 +231,28 @@ def _output_is_input(prog: str, output: str | None, inputs) -> bool:
     return False
 
 
+def _record_flusher(out, corpus):
+    """The call cmd_scan makes after each record it writes to stdout.
+
+    A reader on a pipe gets the first record at once and each later one
+    within STREAM_FLUSH_S plus the next record's analysis.  A flush per
+    record would wake the reader, and preempt the scan, once per record.
+    A corpus that can block (a pipe, a FIFO, a terminal) flushes every
+    record, so none waits on input that may never come.
+    """
+    regular = stat.S_ISREG(os.fstat(corpus.fileno()).st_mode)
+    interval = STREAM_FLUSH_S if regular else 0.0
+    due = 0.0
+
+    def flush() -> None:
+        nonlocal due
+        now = time.monotonic()
+        if now >= due:
+            out.flush()
+            due = now + interval
+    return flush
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     if _output_is_input("scan", args.output, [args.corpus]):
         return EXIT_USAGE
@@ -240,13 +268,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
         records = scanmod.scan_lines(corpus, config=_config(args),
                                      jobs=args.jobs)
         write_csv = csv.writer(out, lineterminator="\n").writerow
+        # a pipe is block-buffered: stream it; --output is written in blocks
+        flush = (_record_flusher(out, corpus) if out is sys.stdout
+                 else lambda: None)
         for rec in _reported("scan", records, counts):
             if args.format == "csv":
                 write_csv(scanmod.record_to_csv_fields(rec))
             else:
                 out.write(scanmod.record_to_jsonl(rec) + "\n")
-            if out is sys.stdout:  # a pipe is block-buffered: stream it
-                out.flush()
+            flush()
     return _exit_code("scan", counts, args.findings_ok)
 
 

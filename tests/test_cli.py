@@ -357,6 +357,38 @@ class TestScan:
             proc.wait()
             proc.stdout.close()
 
+    def test_stdout_flushes_are_batched_for_a_regular_corpus(
+            self, tmp_path, monkeypatch):
+        class Out:
+            flushes = 0
+
+            def flush(self):
+                self.flushes += 1
+
+        clock = [100.0]
+        monkeypatch.setattr(cli.time, "monotonic", lambda: clock[0])
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("Bg\n")
+        out = Out()
+        with open(corpus) as fh:
+            flush = cli._record_flusher(out, fh)
+            counts = []
+            for t in (100.0, 100.01, 100.049, 100.05, 100.2):
+                clock[0] = t
+                flush()
+                counts.append(out.flushes)
+        # the first record at once, then at most one flush per interval
+        assert cli.STREAM_FLUSH_S == 0.05
+        assert counts == [1, 1, 1, 2, 3]
+        read, write = os.pipe()
+        os.close(write)
+        out = Out()
+        with os.fdopen(read) as fh:  # a corpus that can block
+            flush = cli._record_flusher(out, fh)
+            for _ in range(3):
+                flush()
+        assert out.flushes == 3
+
     @pytest.mark.parametrize("argv", [
         ["scan", "c.g6", "--output", "{dir}/c.g6"],
         ["hunt", "kss1:2", "{dir}/c.g6", "--jobs", "1", "--output", "./c.g6"],
