@@ -19,9 +19,11 @@ and the toughness that ``analyze_graph`` rounds one ulp toward -inf:
                         and the record's "error" field its message
 
 Scans stream: each record is yielded as soon as it and every record
-before it are done.  They are deterministic: records come in input order
-regardless of worker count, and every field serializes identically
-across runs.
+before it are done.  The first record is analyzed in the calling
+process, so a pooled scan yields it before the worker pool starts, and
+an input of zero or one graph starts no pool.  They are deterministic:
+records come in input order regardless of worker count, and every field
+serializes identically across runs.
 """
 
 from __future__ import annotations
@@ -168,12 +170,18 @@ def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
                jobs: int = 1) -> Iterator[dict]:
     """Analyze graph6 lines lazily; records come in input order.
 
-    If reading ``lines`` raises, every record of the lines read before
-    comes first and then the exception, at any worker count."""
+    The first record always comes from the calling process, so with
+    ``jobs > 1`` it is out before the worker pool starts, and an input
+    of zero or one graph starts no pool.  If reading ``lines`` raises,
+    every record of the lines read before comes first and then the
+    exception, at any worker count."""
     payload = read_graph6_lines(lines)
-    if jobs <= 1:
-        for line in payload:
-            yield scan_line(line, config)
+    for line in payload:
+        yield scan_line(line, config)
+        if jobs > 1:
+            break  # the pool takes the rest, if there is a rest
+    second = next(payload, None)  # None once every line has been read
+    if second is None:
         return
     # Imported here, not at the top: a --jobs 1 run starts no pool, and
     # this import is a large share of the CLI's start-up.
@@ -185,6 +193,7 @@ def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
         # part-built chunk that an exception interrupts; hold the
         # exception until the records before it are out.
         try:
+            yield second
             yield from payload
         except Exception as exc:
             failed.append(exc)

@@ -318,7 +318,10 @@ class TestScan:
                 peaks.append(peak_kib / 1024)
             assert abs(peaks[1] - peaks[0]) < 10, (command, peaks)
 
-    def test_stdout_records_stream_to_a_pipe(self, tmp_path):
+    # At --jobs 2 the first record too must come while the corpus is
+    # open, not once the pool has a whole chunk of lines.
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_stdout_records_stream_to_a_pipe(self, tmp_path, jobs):
         if not hasattr(os, "mkfifo"):
             pytest.skip("no named pipes on this platform")
         fifo = tmp_path / "corpus.g6"
@@ -326,7 +329,7 @@ class TestScan:
         env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "spectough", "scan", str(fifo),
-             "--jobs", "1"],
+             "--jobs", jobs],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
         deadline = time.monotonic() + 60
         try:
@@ -431,6 +434,40 @@ def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(tmp_path):
     assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 3
 
 
+# Runs a --jobs 2 scan of one graph and a --jobs 2 hunt of none, takes
+# the first record of a pooled scan_lines and then the rest, and prints
+# after each step whether multiprocessing has been loaded.
+POOLED_STARTUP_PROBE = textwrap.dedent("""
+    import sys
+    from spectough.cli import main
+    from spectough.scan import scan_lines
+    corpus, out = sys.argv[1:]
+    assert main(["scan", corpus, "--jobs", "2", "--output", out]) == 0
+    assert main(["hunt", corpus, "--jobs", "2", "--budget", "0",
+                 "--output", out + ".hunt"]) == 0
+    print("multiprocessing" in sys.modules)
+    lines = ["Bg", "Cl", "CF", "Bw", "Dhc"] * 8
+    records = scan_lines(lines, jobs=2)
+    first = next(records)
+    print("multiprocessing" in sys.modules)
+    assert [first, *records] == list(scan_lines(lines, jobs=1))
+    print("multiprocessing" in sys.modules)
+""")
+
+
+def test_pooled_scan_yields_its_first_record_before_the_pool_starts(tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("Bg\n")
+    out = tmp_path / "out.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", POOLED_STARTUP_PROBE, str(corpus), str(out)],
+        capture_output=True, text=True, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr
+    # the last line shows that the rest of the stream went through a pool
+    assert proc.stdout.splitlines() == ["False", "False", "True"]
+    assert len(out.read_text().splitlines()) == 1
+
+
 class TestHunt:
     def test_kss1(self, tmp_path):
         out = tmp_path / "findings.json"
@@ -503,9 +540,11 @@ class TestHunt:
         assert calls == []
 
     def test_draw_failure_exits_2_in_parallel(self, capsys):
-        # gnp:10,1.5 fails only when its first graph is drawn, which the
-        # worker pool does in a thread of its own.
-        assert main(["hunt", "gnp:10,1.5", "kss1:2", "--jobs", "2"]) == 2
+        # gnp:10,1.5 fails only when its first graph is drawn.  The scan
+        # reads the first two lines in this process (it analyzes one and
+        # checks that a pool is needed), so here the failing draw comes
+        # third, in the thread that feeds the worker pool.
+        assert main(["hunt", "kss1:2..3", "gnp:10,1.5", "--jobs", "2"]) == 2
         assert capsys.readouterr().err.startswith("hunt: ")
 
 
@@ -535,15 +574,18 @@ class TestGen:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_lines_reading_failure_comes_after_earlier_records(jobs):
-    def lines():
-        yield from ["Bg", "Cl", "CF", "Bw", "Dhc", "Bg"]
+    def lines(good):
+        yield from good
         raise ValueError("unreadable")
 
-    seen = []
-    with pytest.raises(ValueError, match="unreadable"):
-        for rec in scan_lines(lines(), jobs=jobs):
-            seen.append(rec["graph6"])
-    assert seen == ["Bg", "Cl", "CF", "Bw", "Dhc", "Bg"]
+    # a failure on the first read, on the second (both are made before a
+    # pool starts) and on a later one
+    for good in ([], ["Bg"], ["Bg", "Cl", "CF", "Bw", "Dhc", "Bg"]):
+        seen = []
+        with pytest.raises(ValueError, match="unreadable"):
+            for rec in scan_lines(lines(good), jobs=jobs):
+                seen.append(rec["graph6"])
+        assert seen == good
 
 
 def test_scan_lines_cap_skips_toughness():
