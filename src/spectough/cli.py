@@ -1,7 +1,9 @@
 """Command-line front end: analyze | scan | hunt | gen.
 
 Exit codes: 0 clean, 1 findings (counterexample or violation), 2 usage
-(an --output that names an input file included), 3 internal error (for
+(an --output that names an input file included) and any OS error while
+opening or reading a corpus, writing --output or stdout, or starting the
+worker pool, reported as "<command>: <error>", 3 internal error (for
 scan and hunt: any ERROR record, after every record is analyzed), 141
 when the reader closes stdout early (as in ``spectough scan big.g6 |
 head``): the run stops quietly with the status of a process killed by
@@ -22,7 +24,6 @@ import sys
 import time
 
 from . import scan as scanmod
-from .errors import Graph6Error
 from .families import generate_family
 from .graphs import parse_graph6, read_graph6_lines, write_graph6
 
@@ -156,7 +157,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             g = parse_graph6(args.graph6)
         g6 = write_graph6(g)  # n > 62 is bad input, not an internal error
-    except (Graph6Error, ValueError) as exc:
+    except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
     counts: dict[str, int] = {}
@@ -217,14 +218,10 @@ def _corpus_path(spec: str) -> str | None:
 def _output_is_input(prog: str, output: str | None, inputs) -> bool:
     """Whether --output names one of the input files, reported on stderr:
     opening it for writing would truncate the corpus before it is read."""
-    if output is None:
-        return False
+    if output is None or not os.path.exists(output):
+        return False  # nothing to overwrite
     for path in inputs:
-        try:
-            same = os.path.samefile(output, path)
-        except OSError:  # either one missing: nothing to overwrite
-            continue
-        if same:
+        if os.path.exists(path) and os.path.samefile(output, path):
             print(f"{prog}: --output {output} is the input file {path}",
                   file=sys.stderr)
             return True
@@ -258,13 +255,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     counts: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
-        try:
-            corpus = stack.enter_context(_open_corpus(args.corpus))
-            out = (stack.enter_context(open(args.output, "w"))
-                   if args.output else sys.stdout)
-        except OSError as exc:
-            print(f"scan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        corpus = stack.enter_context(_open_corpus(args.corpus))
+        out = (stack.enter_context(open(args.output, "w"))
+               if args.output else sys.stdout)
         records = scanmod.scan_lines(corpus, config=_config(args),
                                      jobs=args.jobs)
         write_csv = csv.writer(out, lineterminator="\n").writerow
@@ -273,7 +266,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                  else lambda: None)
         for rec in _reported("scan", records, counts):
             if args.format == "csv":
-                write_csv(scanmod.record_to_csv_fields(rec))
+                write_csv([rec.get(col) for col in scanmod.CSV_COLUMNS])
             else:
                 out.write(scanmod.record_to_jsonl(rec) + "\n")
             flush()
@@ -302,10 +295,10 @@ def cmd_hunt(args: argparse.Namespace) -> int:
                                          jobs=args.jobs)
             findings = scanmod.hunt(_reported("hunt", records, counts),
                                     cap_oracle=args.cap_oracle)
-        except (OSError, Graph6Error, ValueError) as exc:
+        except ValueError as exc:
             # scan_line turns every per-graph fault into a record, so this
-            # is bad input: an unknown family, a file that cannot be opened
-            # or read, or a family parameter that fails when a graph is drawn.
+            # is a bad spec: an unknown family, or a family parameter that
+            # fails when a graph is drawn.  main reports OS errors.
             print(f"hunt: {exc}", file=sys.stderr)
             return EXIT_USAGE
         print(json.dumps(findings, indent=2), file=out)
@@ -322,9 +315,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
                    if args.output else sys.stdout)
             for g in generate_family(spec, seed=args.seed, count=args.count):
                 out.write(write_graph6(g) + "\n")
-        except BrokenPipeError:
-            raise  # not a usage error: main exits 141
-        except (OSError, ValueError, Graph6Error) as exc:
+        except ValueError as exc:
             print(f"gen: {exc}", file=sys.stderr)
             return EXIT_USAGE
     return EXIT_OK
@@ -349,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         # last flush writes nowhere instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # a corpus, --output or stdout, or the pool
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # anything unplanned is an internal error
         print(f"spectough: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -25,7 +25,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
-from ._kernels._ref import SplitMix64, reach  # noqa: F401  (the seeders' PRNG)
+# SplitMix64 is the seeders' PRNG; reach is also structures' walk.
+from ._kernels._ref import SplitMix64, reach  # noqa: F401
 from .errors import Graph6Error
 
 GRAPH6_MAX_N = _kernels.MAX_N

@@ -35,7 +35,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds, structures, toughness
 from .errors import Graph6Error
-from .graphs import Graph, parse_graph6, read_graph6_lines, write_graph6
+from .graphs import (Graph, iter_bits, parse_graph6, read_graph6_lines,
+                     write_graph6)
 from .spectra import spectrum
 
 CSV_COLUMNS = [
@@ -77,7 +78,7 @@ def analyze_graph(g: Graph, g6: str | None = None,
             slack0=t - rec["bd0"], slack1=t - rec["bd1"],
             slack2=t - rec["bd2"],
             certificate={
-                "S": sorted(v for v in range(g.n) if cert.s_mask >> v & 1),
+                "S": list(iter_bits(cert.s_mask)),
                 "c": cert.c,
                 "value": value,
             },
@@ -138,13 +139,6 @@ def _status(rec: dict, t: float | None) -> str:
 
 def record_to_jsonl(rec: dict) -> str:
     return json.dumps(rec, separators=(",", ":"), sort_keys=False)
-
-
-def record_to_csv_fields(rec: dict) -> list[str]:
-    """The CSV_COLUMNS of a record as strings, "" for None; write them
-    with a csv.writer, which quotes an unparsable line's commas."""
-    return ["" if rec.get(col) is None else str(rec[col])
-            for col in CSV_COLUMNS]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from . import _kernels
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits, mask_of, reach
 from .spectra import Spectrum
 
 # The [a,b]-factor hypotheses every guarantee list evaluates.
@@ -115,23 +115,18 @@ def has_hamilton_cycle(g: Graph) -> bool:
 
 
 def _unbalanced_bipartite(g: Graph) -> bool:
-    """Is g connected and bipartite with sides of different size?  The
-    sides are the even and the odd BFS layers from vertex 0."""
-    sides = [0, 0]
-    seen = frontier = 1
-    depth = 0
-    while frontier:
-        sides[depth % 2] |= frontier
-        reach = 0
-        for v in iter_bits(frontier):
-            reach |= g.adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-        depth += 1
-    return (seen == g.full_mask
-            and sides[0].bit_count() != sides[1].bit_count()
-            and not any(g.adj[v] & side for side in sides
-                        for v in iter_bits(side)))
+    """Is g, of order at least 2, connected and bipartite with sides of
+    different size?  ``two_step[v]`` is the union of the rows of v's
+    neighbours, so ``reach`` over it finds what walks of even length reach
+    from vertex 0: in a connected graph, exactly vertex 0's side if g is
+    bipartite and every vertex if it is not."""
+    two_step = [0] * g.n
+    for v, row in enumerate(g.adj):
+        for u in iter_bits(row):
+            two_step[v] |= g.adj[u]
+    side = reach(two_step, 1, g.full_mask)
+    return (g.is_connected() and side != g.full_mask
+            and 2 * side.bit_count() != g.n)
 
 
 def is_m_extendable(g: Graph, m: int) -> bool:

@@ -51,6 +51,16 @@ def component_count(g: Graph, removed: int) -> int:
     return sum(1 for v in parent if parent[v] == v)
 
 
+def unbalanced_bipartite(g: Graph) -> bool:
+    """Connected, with a proper 2-colouring whose two sides differ in size:
+    every vertex subset is tried as one side (no walk)."""
+    return component_count(g, 0) == 1 and any(
+        2 * side.bit_count() != g.n
+        and not any(g.adj[v] & (side if side >> v & 1 else ~side)
+                    for v in range(g.n))
+        for side in range(1 << g.n))
+
+
 def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     """No-pruning reference search; kept independent of the kernels on purpose."""
     if g.n > cap:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import errno
 import json
 import multiprocessing
 import os
@@ -407,6 +409,48 @@ class TestScan:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"{argv[0]}: --output ") and "input file" in err
+
+
+# One OS-error policy: main reports any OSError as "<command>: <error>"
+# and exits 2, whichever command and whichever file it came from.
+@pytest.mark.parametrize("argv", [
+    ["scan", "--jobs", "1"], ["scan", "--jobs", "2"], ["hunt", "--jobs", "1"],
+], ids=["scan-1", "scan-2", "hunt"])
+def test_corpus_read_error_exits_2(tmp_path, monkeypatch, capsys, argv):
+    def lines():
+        yield from ("Bg\n", "Cl\n")
+        raise OSError(errno.EIO, os.strerror(errno.EIO))  # the third read
+
+    monkeypatch.setattr(cli, "_open_corpus",
+                        lambda path: contextlib.nullcontext(lines()))
+    out = tmp_path / "out.jsonl"
+    assert main([argv[0], str(tmp_path / "c.g6"), *argv[1:],
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: [Errno {errno.EIO}]" in err
+    assert "internal error" not in err
+    if argv[0] == "scan":
+        assert [json.loads(row)["graph6"]
+                for row in out.read_text().splitlines()] == ["Bg", "Cl"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["scan", "c.g6", "--output", "/dev/full"],
+    ["hunt", "c.g6", "--jobs", "1", "--output", "/dev/full"],
+    ["gen", "cycle", "3..6", "--output", "/dev/full"],
+    ["analyze", "Cl"],
+], ids=["scan", "hunt", "gen", "analyze-stdout"])
+def test_full_device_exits_2(tmp_path, argv):
+    (tmp_path / "c.g6").write_text("Bg\nCl\nCF\n")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "spectough", *argv],
+                              cwd=tmp_path, stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=CLI_ENV)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{argv[0]}: [Errno {errno.ENOSPC}]" in proc.stderr
+    assert "internal error" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # Imports the CLI, then scans at --jobs 1 in the same process, and prints

@@ -89,19 +89,41 @@ class TestHamiltonCycle:
             raise AssertionError("Hamilton kernel ran")
 
         monkeypatch.setattr(structures._kernels, "hamilton_cycle", no_search)
-        for sizes in ([6, 7], [7, 8]):
-            assert not has_hamilton_cycle(complete_multipartite(sizes))
+        for g in (complete_multipartite([6, 7]), complete_multipartite([7, 8]),
+                  path(5)):
+            assert not has_hamilton_cycle(g)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 10), seed=st.integers(0, 2**32),
            split=st.integers(0, 10), p=st.sampled_from([0.3, 0.5, 0.8]))
     def test_matches_reference_kernel(self, n, seed, split, p):
-        g = gnp(n, p, seed)
-        if split:  # keep only the edges across a cut: a bipartite graph
-            side = (1 << min(split, n - 1)) - 1
-            g = Graph.from_edges(n, [(u, v) for u, v in g.edges()
-                                     if (side >> u & 1) != (side >> v & 1)])
+        g = _across_cut(gnp(n, p, seed), split)
         assert has_hamilton_cycle(g) == _ref.hamilton_cycle(g.n, g.adj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 10), seed=st.integers(0, 2**32),
+           split=st.integers(0, 10), p=st.sampled_from([0.3, 0.5, 0.8]))
+    def test_unbalanced_bipartite_matches_brute_force(self, n, seed, split, p):
+        g = _across_cut(gnp(n, p, seed), split)
+        assert (structures._unbalanced_bipartite(g)
+                == _oracles.unbalanced_bipartite(g))
+
+    def test_unbalanced_bipartite_complete_bipartite(self):
+        for a in range(1, 6):
+            for b in range(max(a, 3 - a), 11 - a):
+                g = complete_multipartite([a, b])
+                assert structures._unbalanced_bipartite(g) == (a != b)
+                assert _oracles.unbalanced_bipartite(g) == (a != b)
+
+
+def _across_cut(g: Graph, split: int) -> Graph:
+    """g itself for split 0, else only its edges across the cut between
+    the first min(split, n - 1) vertices and the rest: a bipartite graph."""
+    if not split:
+        return g
+    side = (1 << min(split, g.n - 1)) - 1
+    return Graph.from_edges(g.n, [(u, v) for u, v in g.edges()
+                                  if (side >> u & 1) != (side >> v & 1)])
 
 
 class TestExtendable:
