@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import json
 import os
@@ -228,17 +227,22 @@ def _output_is_input(prog: str, output: str | None, inputs) -> bool:
     return False
 
 
+def _can_block(corpus) -> bool:
+    """Whether reading the corpus can wait on a writer: anything but a
+    regular file (a pipe, a FIFO, a terminal)."""
+    return not stat.S_ISREG(os.fstat(corpus.fileno()).st_mode)
+
+
 def _record_flusher(out, corpus):
     """The call cmd_scan makes after each record it writes to stdout.
 
     A reader on a pipe gets the first record at once and each later one
     within STREAM_FLUSH_S plus the next record's analysis.  A flush per
     record would wake the reader, and preempt the scan, once per record.
-    A corpus that can block (a pipe, a FIFO, a terminal) flushes every
-    record, so none waits on input that may never come.
+    A corpus that can block flushes every record, so none waits on input
+    that may never come.
     """
-    regular = stat.S_ISREG(os.fstat(corpus.fileno()).st_mode)
-    interval = STREAM_FLUSH_S if regular else 0.0
+    interval = 0.0 if _can_block(corpus) else STREAM_FLUSH_S
     due = 0.0
 
     def flush() -> None:
@@ -258,9 +262,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         corpus = stack.enter_context(_open_corpus(args.corpus))
         out = (stack.enter_context(open(args.output, "w"))
                if args.output else sys.stdout)
-        records = scanmod.scan_lines(corpus, config=_config(args),
-                                     jobs=args.jobs)
-        write_csv = csv.writer(out, lineterminator="\n").writerow
+        # stdout gets each record of a corpus that can block as it comes
+        records = scanmod.scan_lines(
+            corpus, config=_config(args), jobs=args.jobs,
+            stream=out is sys.stdout and _can_block(corpus))
+        if args.format == "csv":
+            import csv  # here, not at the top: a JSONL run never needs it
+            write_csv = csv.writer(out, lineterminator="\n").writerow
         # a pipe is block-buffered: stream it; --output is written in blocks
         flush = (_record_flusher(out, corpus) if out is sys.stdout
                  else lambda: None)
@@ -280,8 +288,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     counts: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
         try:
-            out = (stack.enter_context(open(args.output, "w"))
-                   if args.output else sys.stdout)
+            # every input first: a bad spec or a missing corpus must not
+            # truncate --output
             sources = []
             for spec, path in zip(args.specs, paths):
                 if path is not None:
@@ -289,6 +297,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
                 else:
                     sources.append(map(write_graph6, generate_family(
                         spec, seed=args.seed, count=args.count)))
+            out = (stack.enter_context(open(args.output, "w"))
+                   if args.output else sys.stdout)
             lines = itertools.islice(
                 read_graph6_lines(itertools.chain(*sources)), args.budget)
             records = scanmod.scan_lines(lines, config=_config(args),
@@ -311,9 +321,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         spec += ":" + ",".join(args.params)
     with contextlib.ExitStack() as stack:
         try:
+            graphs = generate_family(spec, seed=args.seed, count=args.count)
             out = (stack.enter_context(open(args.output, "w"))
                    if args.output else sys.stdout)
-            for g in generate_family(spec, seed=args.seed, count=args.count):
+            for g in graphs:
                 out.write(write_graph6(g) + "\n")
         except ValueError as exc:
             print(f"gen: {exc}", file=sys.stderr)

@@ -161,14 +161,16 @@ def scan_line(line: str, config: ScanConfig) -> dict:
 
 
 def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
-               jobs: int = 1) -> Iterator[dict]:
+               jobs: int = 1, stream: bool = False) -> Iterator[dict]:
     """Analyze graph6 lines lazily; records come in input order.
 
     The first record always comes from the calling process, so with
     ``jobs > 1`` it is out before the worker pool starts, and an input
-    of zero or one graph starts no pool.  If reading ``lines`` raises,
-    every record of the lines read before comes first and then the
-    exception, at any worker count."""
+    of zero or one graph starts no pool.  The pool takes lines in chunks
+    of 16, or one at a time with ``stream`` (for input that can block,
+    so that no record waits for a chunk to fill).  If reading ``lines``
+    raises, every record of the lines read before comes first and then
+    the exception, at any worker count."""
     payload = read_graph6_lines(lines)
     for line in payload:
         yield scan_line(line, config)
@@ -194,7 +196,7 @@ def scan_lines(lines: Iterable[str], config: ScanConfig = ScanConfig(),
 
     with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(functools.partial(_scan_in_worker, config=config),
-                             feed(), chunksize=16)
+                             feed(), chunksize=1 if stream else 16)
     if failed:
         raise failed[0]
 

@@ -44,15 +44,3 @@ def exact_toughness(g: Graph) -> ToughnessCertificate:
     if den == 0:  # connected non-complete graphs always have a cut
         raise AssertionError("toughness search found no admissible cut")
     return ToughnessCertificate(s_mask=mask, c=den)
-
-
-def is_r_tough(g: Graph, r: Fraction | int) -> bool:
-    """Exact rational comparison t(G) >= r."""
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if g.is_complete():
-        return True
-    if not g.is_connected():
-        return r == 0
-    return exact_toughness(g).value >= r

@@ -83,6 +83,19 @@ def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     return ToughnessCertificate(s_mask=best_mask, c=best_c)
 
 
+def is_r_tough(g: Graph, r: Fraction | int) -> bool:
+    """Exact rational comparison t(G) >= r, by the exhaustive search
+    (n <= 10, so Petersen is in reach)."""
+    r = Fraction(r)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if g.is_complete():
+        return True
+    if not g.is_connected():
+        return r == 0
+    return exhaustive_toughness(g, cap=10).value >= r
+
+
 def has_hamilton_path(g: Graph) -> bool:
     """Direct Hamilton-path backtracker (cross-check for the k=2 tree case)."""
     if g.n == 1:

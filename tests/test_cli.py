@@ -220,10 +220,14 @@ class TestScan:
         corpus = tmp_path / "c.g6"
         corpus.write_text("Bg\n")
         calls = []
+
+        def draw(*args, **kwargs):  # records a draw, not the spec check
+            calls.append(args)
+            yield from ()
+
         monkeypatch.setattr(scan, "analyze_graph",
                             lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(cli, "generate_family",
-                            lambda *a, **k: calls.append(a) or iter(()))
+        monkeypatch.setattr(cli, "generate_family", draw)
         out = tmp_path / "missing-dir" / "out.jsonl"
         assert main(["scan", str(corpus), "--output", str(out)]) == 2
         assert main(["hunt", str(corpus), "--jobs", "1",
@@ -320,8 +324,8 @@ class TestScan:
                 peaks.append(peak_kib / 1024)
             assert abs(peaks[1] - peaks[0]) < 10, (command, peaks)
 
-    # At --jobs 2 the first record too must come while the corpus is
-    # open, not once the pool has a whole chunk of lines.
+    # At --jobs 2 every record too must come while the corpus is open,
+    # not once the pool has a whole chunk of lines.
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_stdout_records_stream_to_a_pipe(self, tmp_path, jobs):
         if not hasattr(os, "mkfifo"):
@@ -342,19 +346,23 @@ class TestScan:
                 except OSError:
                     assert proc.poll() is None and time.monotonic() < deadline
                     time.sleep(0.01)
-            os.write(feed, b"Bg\n")
-            # the corpus is still open, so only a streamed record arrives
+            # the corpus is still open, so only a streamed record arrives;
+            # at --jobs 2 the second comes from the pool
             got = b""
             with selectors.DefaultSelector() as sel:
                 sel.register(proc.stdout, selectors.EVENT_READ)
-                while (not got.endswith(b"\n")
-                       and sel.select(deadline - time.monotonic())):
-                    chunk = os.read(proc.stdout.fileno(), 1 << 16)
-                    if not chunk:
-                        break
-                    got += chunk
-            assert got.endswith(b"\n"), "no record while the corpus is open"
-            assert json.loads(got)["graph6"] == "Bg"
+                for count, line in enumerate((b"Bg\n", b"Cl\n"), 1):
+                    os.write(feed, line)
+                    while (got.count(b"\n") < count
+                           and sel.select(deadline - time.monotonic())):
+                        chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                        if not chunk:
+                            break
+                        got += chunk
+                    assert got.count(b"\n") == count, (
+                        f"record {count} missing while the corpus is open")
+            assert [json.loads(row)["graph6"]
+                    for row in got.splitlines()] == ["Bg", "Cl"]
             os.close(feed)
             assert proc.wait(timeout=60) == 0
         finally:
@@ -457,7 +465,7 @@ def test_full_device_exits_2(tmp_path, argv):
 # which of the named modules each step loaded.
 STARTUP_PROBE = textwrap.dedent("""
     import sys
-    heavy = {"dataclasses", "multiprocessing"}
+    heavy = {"csv", "dataclasses", "multiprocessing"}
     before = set(sys.modules)
     from spectough.cli import main
     print(sorted(heavy & (set(sys.modules) - before)))
@@ -466,7 +474,7 @@ STARTUP_PROBE = textwrap.dedent("""
 """)
 
 
-def test_cli_start_loads_neither_dataclasses_nor_multiprocessing(tmp_path):
+def test_cli_start_loads_no_csv_dataclasses_or_multiprocessing(tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_text("Bg\nCl\nCF\n")
     proc = subprocess.run(
@@ -614,6 +622,21 @@ class TestGen:
     def test_unknown_family(self):
         proc = run_cli("gen", "dodecahedron")
         assert proc.returncode == 2
+
+
+# hunt and gen read every spec before they open --output, so a typo in
+# a spec leaves an existing file as it was.
+@pytest.mark.parametrize("argv", [
+    ["hunt", "kss1:2", "dodecahedron", "--jobs", "1"],
+    ["hunt", "kss1:2", "missing.g6", "--jobs", "1"],
+    ["gen", "dodecahedron"],
+], ids=["hunt", "hunt-missing-corpus", "gen"])
+def test_bad_spec_keeps_output(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "keep"
+    kept.write_bytes(b"earlier output\n")
+    assert main([*argv, "--output", str(kept)]) == 2
+    assert kept.read_bytes() == b"earlier output\n"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
-from spectough.toughness import exact_toughness, is_r_tough
+from spectough.toughness import exact_toughness
 from tests._lemmas import NotApplicableError, proof_partition
-from tests._oracles import exhaustive_toughness
+from tests._oracles import exhaustive_toughness, is_r_tough
 from tests.conftest import partitions
 
 
