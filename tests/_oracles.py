@@ -35,9 +35,10 @@ def max_independent_set_size(g: Graph) -> int:
     return best
 
 
-def component_count(g: Graph, removed: int) -> int:
+def components(g: Graph, removed: int) -> list[int]:
     """Components of G minus the ``removed`` bitset, by union-find over the
-    edges of G - S (no bitset frontier walk, unlike the kernels)."""
+    edges of G - S (no bitset frontier walk, unlike the kernels), as
+    bitsets by ascending size, ties by smallest member."""
     parent = {v: v for v in range(g.n) if not removed >> v & 1}
 
     def find(v: int) -> int:
@@ -48,7 +49,36 @@ def component_count(g: Graph, removed: int) -> int:
     for u, v in g.edges():
         if u in parent and v in parent:
             parent[find(u)] = find(v)
-    return sum(1 for v in parent if parent[v] == v)
+    comps: dict[int, int] = {}
+    for v in parent:
+        root = find(v)
+        comps[root] = comps.get(root, 0) | 1 << v
+    return sorted(comps.values(), key=lambda m: (m.bit_count(), m & -m))
+
+
+def component_count(g: Graph, removed: int) -> int:
+    """How many components G minus the ``removed`` bitset has."""
+    return len(components(g, removed))
+
+
+def complement(g: Graph) -> Graph:
+    """G's complement, from every vertex pair that is not an edge."""
+    return Graph.from_edges(g.n, [(u, v) for u, v in combinations(range(g.n), 2)
+                                  if not g.has_edge(u, v)])
+
+
+def prop2_cases(g: Graph, cert: ToughnessCertificate) -> dict[str, bool]:
+    """Cases (i)-(iv) at the cut S: (i) the complement is disconnected,
+    (ii) every component of G - S is one vertex, (iii) some components
+    hold exactly half of V - S (every subset of them is tried), (iv) G - S
+    has two components."""
+    sizes = [m.bit_count() for m in components(g, cert.s_mask)]
+    return {"i": component_count(complement(g), 0) > 1,
+            "ii": all(size == 1 for size in sizes),
+            "iii": any(2 * sum(part) == sum(sizes)
+                       for r in range(1, len(sizes) + 1)
+                       for part in combinations(sizes, r)),
+            "iv": len(sizes) == 2}
 
 
 def unbalanced_bipartite(g: Graph) -> bool:

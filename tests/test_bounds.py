@@ -2,7 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectough.bounds import _subset_sum_hits, bound_report, detect_prop2_cases
@@ -11,6 +11,7 @@ from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
 from spectough.scan import analyze_graph
 from spectough.spectra import spectrum
 from spectough.toughness import exact_toughness
+from tests import _oracles
 from tests._lemmas import (independence_upper_bound, prop32_bounds,
                            separation_verify, toughness_from_ratio)
 
@@ -151,6 +152,15 @@ class TestCaseDetection:
         g = path(3)
         flags = detect_prop2_cases(g, exact_toughness(g))
         assert flags == {"i": True, "ii": True, "iii": True, "iv": True}
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 10), p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+           seed=st.integers(0, 2**32))
+    def test_matches_brute_force(self, n, p, seed):
+        g = gnp(n, p, seed)
+        assume(g.is_connected() and not g.is_complete())
+        cert = exact_toughness(g)
+        assert detect_prop2_cases(g, cert) == _oracles.prop2_cases(g, cert)
 
     def test_needs_finite_certificate(self):
         with pytest.raises(ValueError):
