@@ -5,7 +5,9 @@ Subsets are enumerated by increasing size and, within a size, in
 lexicographic order of the ascending vertex tuple, so "first strict
 improvement wins" yields the documented deterministic tie-break.
 ``reach`` is the one reachability walk: the cut search's component
-count, the Hamilton prune and spectough.graphs all call it.
+count, the Hamilton prune, spectough.graphs, the bipartite prune in
+spectough.structures and the case detection in spectough.bounds all
+call it.
 """
 
 from __future__ import annotations

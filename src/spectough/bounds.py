@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .graphs import Graph, components_after_removal
+from .graphs import Graph, reach
 from .spectra import Spectrum
 from .toughness import ToughnessCertificate
 
@@ -46,11 +46,20 @@ def _subset_sum_hits(sizes: list[int], target: int) -> bool:
 
 
 def detect_prop2_cases(g: Graph, cert: ToughnessCertificate) -> dict[str, bool]:
-    """Which of the four proven cases (i)-(iv) hold at the extremal cut."""
-    comps = components_after_removal(g, cert.s_mask)
-    sizes = [m.bit_count() for m in comps]
-    rest = g.n - cert.s_mask.bit_count()
-    return {"i": not g.complement().is_connected(),
-            "ii": rest == cert.c,
-            "iii": rest % 2 == 0 and _subset_sum_hits(sizes, rest // 2),
+    """Which of the four proven cases (i)-(iv) hold at the extremal cut.
+
+    (i) walks the complement's rows; (iii) takes the component sizes of
+    G - S from the loop of ``_ref._component_count``."""
+    full = g.full_mask
+    co_adj = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    sizes = []
+    rest = full & ~cert.s_mask
+    while rest:
+        comp = reach(g.adj, rest & -rest, rest)
+        sizes.append(comp.bit_count())
+        rest &= ~comp
+    kept = g.n - cert.s_mask.bit_count()
+    return {"i": reach(co_adj, 1, full) != full,
+            "ii": kept == cert.c,
+            "iii": kept % 2 == 0 and _subset_sum_hits(sizes, kept // 2),
             "iv": cert.c == 2}

@@ -233,16 +233,16 @@ def _can_block(corpus) -> bool:
     return not stat.S_ISREG(os.fstat(corpus.fileno()).st_mode)
 
 
-def _record_flusher(out, corpus):
+def _record_flusher(out, can_block: bool):
     """The call cmd_scan makes after each record it writes to stdout.
 
     A reader on a pipe gets the first record at once and each later one
     within STREAM_FLUSH_S plus the next record's analysis.  A flush per
     record would wake the reader, and preempt the scan, once per record.
-    A corpus that can block flushes every record, so none waits on input
-    that may never come.
+    A corpus that can block (``can_block``, from ``_can_block``) flushes
+    every record, so none waits on input that may never come.
     """
-    interval = 0.0 if _can_block(corpus) else STREAM_FLUSH_S
+    interval = 0.0 if can_block else STREAM_FLUSH_S
     due = 0.0
 
     def flush() -> None:
@@ -263,14 +263,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         out = (stack.enter_context(open(args.output, "w"))
                if args.output else sys.stdout)
         # stdout gets each record of a corpus that can block as it comes
-        records = scanmod.scan_lines(
-            corpus, config=_config(args), jobs=args.jobs,
-            stream=out is sys.stdout and _can_block(corpus))
+        stream = out is sys.stdout and _can_block(corpus)
+        records = scanmod.scan_lines(corpus, config=_config(args),
+                                     jobs=args.jobs, stream=stream)
         if args.format == "csv":
             import csv  # here, not at the top: a JSONL run never needs it
             write_csv = csv.writer(out, lineterminator="\n").writerow
         # a pipe is block-buffered: stream it; --output is written in blocks
-        flush = (_record_flusher(out, corpus) if out is sys.stdout
+        flush = (_record_flusher(out, stream) if out is sys.stdout
                  else lambda: None)
         for rec in _reported("scan", records, counts):
             if args.format == "csv":

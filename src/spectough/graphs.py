@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
-# SplitMix64 is the seeders' PRNG; reach is also structures' walk.
+# SplitMix64 is the seeders' PRNG; reach is also structures' and bounds' walk.
 from ._kernels._ref import SplitMix64, reach  # noqa: F401
 from .errors import Graph6Error
 
@@ -99,17 +99,11 @@ class Graph(NamedTuple):
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
     def min_degree(self) -> int:
         return min(self.degrees())
-
-    def max_degree(self) -> int:
-        return max(self.degrees())
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n)
@@ -122,28 +116,6 @@ class Graph(NamedTuple):
         """Whether the kernels' walk (``_ref.reach``) from vertex 0 reaches
         every vertex."""
         return reach(self.adj, 1, self.full_mask) == self.full_mask
-
-    def complement(self) -> "Graph":
-        full = self.full_mask
-        masks = [full & ~row & ~(1 << v) for v, row in enumerate(self.adj)]
-        return Graph.from_adj_masks(masks)
-
-
-def components_after_removal(g: Graph, removed: int = 0) -> list[int]:
-    """Connected components of ``g`` minus the ``removed`` bitset.
-
-    Returns component bitsets sorted by ascending size, ties by smallest
-    member.  Removing every vertex is rejected: no components remain.
-    """
-    rest = g.full_mask & ~removed
-    if not rest:
-        raise ValueError("cannot remove the entire vertex set")
-    comps = []
-    while rest:
-        comps.append(reach(g.adj, rest & -rest, rest))
-        rest &= ~comps[-1]
-    comps.sort(key=lambda m: (m.bit_count(), m & -m))
-    return comps
 
 
 # ---------------------------------------------------------------------------

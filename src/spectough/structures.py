@@ -119,7 +119,14 @@ def _unbalanced_bipartite(g: Graph) -> bool:
     different size?  ``two_step[v]`` is the union of the rows of v's
     neighbours, so ``reach`` over it finds what walks of even length reach
     from vertex 0: in a connected graph, exactly vertex 0's side if g is
-    bipartite and every vertex if it is not."""
+    bipartite and every vertex if it is not.
+
+    ``scan.hunt`` already skips the search when the toughness cut has
+    |S| < c, so the prune only matters above ``cap_toughness``, where no
+    cut is known; no benchmark workload gets there.  It stays because
+    the backtracker alone is slow on these graphs: the compiled kernel
+    took 0.16 s on K_{6,9}, 0.89 s on K_{7,8} and 3.5 s on K_{7,9} (one
+    core of an Intel Xeon)."""
     two_step = [0] * g.n
     for v, row in enumerate(g.adj):
         for u in iter_bits(row):

@@ -63,8 +63,8 @@ def component_count(g: Graph, removed: int) -> int:
 
 def complement(g: Graph) -> Graph:
     """G's complement, from every vertex pair that is not an edge."""
-    return Graph.from_edges(g.n, [(u, v) for u, v in combinations(range(g.n), 2)
-                                  if not g.has_edge(u, v)])
+    return Graph.from_edges(g.n, [pair for pair in combinations(range(g.n), 2)
+                                  if not g.has_edge(*pair)])
 
 
 def prop2_cases(g: Graph, cert: ToughnessCertificate) -> dict[str, bool]:

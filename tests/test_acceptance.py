@@ -20,15 +20,16 @@ import pytest
 
 from spectough.bounds import bound_report
 from spectough.cli import main
-from spectough.graphs import (complete_multipartite, components_after_removal,
-                              cycle, parse_graph6, petersen)
+from spectough.graphs import (complete_multipartite, cycle, parse_graph6,
+                              petersen)
 from spectough.scan import record_to_jsonl
 from spectough.spectra import spectrum
 from spectough.structures import has_hamilton_cycle
 from spectough.toughness import exact_toughness
 from tests._lemmas import (NotApplicableError, independence_upper_bound,
                            proof_partition, separation_verify)
-from tests._oracles import exhaustive_toughness, max_independent_set_size
+from tests._oracles import (complement, components, exhaustive_toughness,
+                             max_independent_set_size)
 from tests.conftest import CLI_ENV, SRC, partitions
 
 
@@ -55,7 +56,7 @@ def test_01_petersen_fixture():
 
 def test_02_petersen_complement_fixture():
     start = time.monotonic()
-    g = petersen().complement()
+    g = complement(petersen())
     cert = exact_toughness(g)
     assert cert.value == Fraction(3)
     r = bound_report(g, spectrum(g))
@@ -130,7 +131,7 @@ def test_07_separation_inequality(analyzed_corpus):
         if not rec["certificate"]:
             continue
         cert = exact_toughness(g)
-        comps = components_after_removal(g, cert.s_mask)
+        comps = components(g, cert.s_mask)
         sizes = [c.bit_count() for c in comps]
         try:
             x_idx, y_idx = proof_partition(sizes)

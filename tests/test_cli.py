@@ -384,7 +384,7 @@ class TestScan:
         corpus.write_text("Bg\n")
         out = Out()
         with open(corpus) as fh:
-            flush = cli._record_flusher(out, fh)
+            flush = cli._record_flusher(out, cli._can_block(fh))
             counts = []
             for t in (100.0, 100.01, 100.049, 100.05, 100.2):
                 clock[0] = t
@@ -397,7 +397,7 @@ class TestScan:
         os.close(write)
         out = Out()
         with os.fdopen(read) as fh:  # a corpus that can block
-            flush = cli._record_flusher(out, fh)
+            flush = cli._record_flusher(out, cli._can_block(fh))
             for _ in range(3):
                 flush()
         assert out.flushes == 3

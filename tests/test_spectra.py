@@ -161,15 +161,16 @@ def test_spectrum_invariants(n, seed):
     assert sum(s.values) == pytest.approx(2 * g.edge_count, abs=n * s.tol)
     assert all(-s.tol <= v <= n + s.tol for v in s.values)
     # complement relation mu_i(comp) = n - mu_{n+2-i}(g)
-    sc = spectrum(g.complement())
+    comp = _oracles.complement(g)
+    sc = spectrum(comp)
     for i in range(2, n + 1):
         assert sc.values[i - 1] == pytest.approx(
             n - s.values[n + 1 - i], abs=1e-8)
     # connectivity characterizations
     assert (s.mu2 <= s.tol) == (not g.is_connected())
-    assert (abs(s.mun - n) <= s.tol) == (not g.complement().is_connected())
+    assert (abs(s.mun - n) <= s.tol) == (not comp.is_connected())
     if g.edge_count:
-        assert s.mun >= g.max_degree() + 1 - s.tol
+        assert s.mun >= max(g.degrees()) + 1 - s.tol
 
 
 def test_regular_shift():
@@ -185,12 +186,12 @@ def test_eigen_summary_petersen():
     s = spectrum(g)
     assert (s.mu2, s.mun) == (pytest.approx(2, abs=1e-9),
                               pytest.approx(5, abs=1e-9))
-    assert g.min_degree() == 3 and g.max_degree() == 3
+    assert g.min_degree() == 3 and max(g.degrees()) == 3
     assert s.ratio == pytest.approx(0.4, abs=1e-9)
 
 
 def test_eigen_summary_petersen_complement():
-    g = petersen().complement()
+    g = _oracles.complement(petersen())
     s = spectrum(g)
     assert s.mu2 == pytest.approx(5, abs=1e-9)
     assert s.mun == pytest.approx(8, abs=1e-9)
@@ -202,5 +203,5 @@ def test_eigen_summary_star():
     s = spectrum(g)
     assert s.mu2 == pytest.approx(1, abs=1e-9)
     assert s.mun == pytest.approx(4, abs=1e-9)
-    assert g.min_degree() == 1 and g.max_degree() == 3
+    assert g.min_degree() == 1 and max(g.degrees()) == 3
     assert s.ratio == pytest.approx(0.25, abs=1e-9)

@@ -218,7 +218,7 @@ class TestGuarantees:
         assert "k-factor" not in items
 
     def test_petersen_complement(self):
-        g = petersen().complement()
+        g = _oracles.complement(petersen())
         items = guarantees(g, spectrum(g))
         names = {(it.name, tuple(sorted(it.params.items()))) for it in items}
         assert ("elementary", ()) in names
@@ -250,7 +250,8 @@ class TestGuarantees:
             guarantees(g, spectrum(g))
 
     def test_verify_emitted_guarantees_small(self):
-        for g in (cycle(4), cycle(6), petersen(), petersen().complement(),
+        for g in (cycle(4), cycle(6), petersen(),
+                  _oracles.complement(petersen()),
                   complete_multipartite([2, 2, 2])):
             for item in guarantees(g, spectrum(g)):
                 outcome = verify_guarantee(g, item, oracle_cap=ORACLE_CAP)
