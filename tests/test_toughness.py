@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, path, petersen)
-from spectough.toughness import exact_toughness
+from spectough._kernels import _ref
+from spectough.toughness import ToughnessCertificate, exact_toughness
 from tests._lemmas import NotApplicableError, proof_partition
 from tests._oracles import component_count, exhaustive_toughness, is_r_tough
 from tests.conftest import partitions
@@ -63,7 +64,10 @@ class TestExactToughness:
                 with pytest.raises(ValueError):
                     search(g)
             return
-        assert exact_toughness(g).value == exhaustive_toughness(g).value
+        cert = exhaustive_toughness(g)
+        assert exact_toughness(g) == cert
+        _, c, mask = _ref.toughness_search(g.n, g.adj)
+        assert ToughnessCertificate(s_mask=mask, c=c) == cert
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(4, 9), seed=st.integers(0, 2**32),
@@ -71,7 +75,7 @@ class TestExactToughness:
     def test_edge_addition_monotone(self, n, seed, pick):
         g = gnp(n, 0.4, seed)
         non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if not g.has_edge(u, v)]
+                     if not g.adj[u] >> v & 1]
         if not non_edges:
             return
         u, v = non_edges[pick % len(non_edges)]
