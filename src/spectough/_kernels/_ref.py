@@ -1,9 +1,11 @@
 """Pure-Python kernels: bit-for-bit reference for the C kernels in bitset.c.
 
 Both backends must return identical results; tests cross-check them.
-Subsets are enumerated by increasing size and, within a size, in
-lexicographic order of the ascending vertex tuple, so "first strict
-improvement wins" yields the documented deterministic tie-break.
+The cut search has the same enumeration order and pruning as bitset.c:
+subsets by increasing size and, within a size, in the lexicographic
+order of the ascending vertex tuple (``itertools.combinations``), so
+"first strict improvement wins" yields the documented deterministic
+tie-break.
 ``reach`` is the one reachability walk: the cut search's component
 count, the Hamilton prune, spectough.graphs, the bipartite prune in
 spectough.structures and the case detection in spectough.bounds all
@@ -11,6 +13,8 @@ call it.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 BACKEND_NAME = "pure"
 
@@ -51,23 +55,13 @@ def toughness_search(n: int, adj: tuple[int, ...]):
     for k in range(1, n - 1):
         if best_den and k * best_den >= best_num * (n - k):
             break
-        # iterative lexicographic k-combinations of range(n)
-        idx = list(range(k))
-        while True:
+        for combo in combinations(range(n), k):
             mask = 0
-            for v in idx:
+            for v in combo:
                 mask |= 1 << v
             c = _component_count(n, adj, mask)
             if c >= 2 and (best_den == 0 or k * best_den < best_num * c):
                 best_num, best_den, best_mask = k, c, mask
-            i = k - 1
-            while i >= 0 and idx[i] == n - k + i:
-                i -= 1
-            if i < 0:
-                break
-            idx[i] += 1
-            for j in range(i + 1, k):
-                idx[j] = idx[j - 1] + 1
     return best_num, best_den, best_mask
 
 

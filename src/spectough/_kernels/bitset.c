@@ -1,10 +1,10 @@
 /* Compiled bitset kernels, loaded with ctypes by spectough._kernels.
  *
- * A step-for-step mirror of _ref.py: the same enumeration order, the
- * same pruning and the same tie-break, so both backends return
- * identical results.  Vertex sets are uint64_t bitsets; the Python
- * binding checks n <= 62 and passes exactly n adjacency rows.  reach is
- * the one frontier walk; the component count and Hamilton prune call it.
+ * The same enumeration order and pruning as _ref.py, hence the same
+ * tie-break, so both backends return identical results.  Vertex sets
+ * are uint64_t bitsets; the Python binding checks n <= 62 and passes
+ * exactly n adjacency rows.  reach is the one frontier walk; the
+ * component count and Hamilton prune call it.
  */
 
 #include <stdint.h>

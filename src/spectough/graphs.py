@@ -96,9 +96,6 @@ class Graph(NamedTuple):
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 

@@ -35,8 +35,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds, structures, toughness
 from .errors import Graph6Error
-from .graphs import (Graph, iter_bits, parse_graph6, read_graph6_lines,
-                     write_graph6)
+from .graphs import Graph, iter_bits, parse_graph6, read_graph6_lines
 from .spectra import spectrum
 
 CSV_COLUMNS = [
@@ -52,16 +51,15 @@ class ScanConfig(NamedTuple):
     cap_oracle: int = 16
 
 
-def analyze_graph(g: Graph, g6: str | None = None,
+def analyze_graph(g: Graph, g6: str,
                   config: ScanConfig = ScanConfig()) -> dict:
-    """Full analysis record for one graph (plain dict, JSON-serializable)."""
-    if g6 is None:
-        g6 = write_graph6(g)
+    """Full analysis record for one graph (plain dict, JSON-serializable);
+    ``g6`` is its graph6 line, which the record carries as given."""
     rec = _record(g6, g.n, g.edge_count)
     if g.is_complete():
         rec.update(toughness="inf", status="SKIPPED(complete)")
         return rec
-    if g.edge_count == 0 or not g.is_connected():
+    if not g.is_connected():
         rec.update(toughness="0", status="SKIPPED(disconnected)")
         return rec
 

@@ -166,9 +166,11 @@ def has_factor(g: Graph, a: int, b: int) -> bool:
     """
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
+    remaining = g.degrees()
+    if any(d < a for d in remaining):
+        return False
     edges = g.edges()
     deg = [0] * g.n
-    remaining = g.degrees()
 
     def rec(i: int) -> bool:
         if i == len(edges):
@@ -193,8 +195,6 @@ def has_factor(g: Graph, a: int, b: int) -> bool:
         remaining[v] += 1
         return False
 
-    if any(d < a for d in g.degrees()):
-        return False
     return rec(0)
 
 

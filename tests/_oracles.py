@@ -1,7 +1,9 @@
 """Independent brute-force oracles that only the tests use.
 
 Each is deliberately simpler than the library code it cross-checks and
-shares no kernel with it.
+shares no kernel with it: connectivity is counted by union-find, never
+by the kernels' ``reach`` walk, and matchings come from a backtracker
+over vertex lists, not from spectough.structures.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from itertools import combinations
 
 from spectough.errors import EigenConvergenceError
 from spectough.graphs import Graph, iter_bits, mask_of
-from spectough.structures import has_factor
 from spectough.toughness import ToughnessCertificate
 
 
@@ -63,8 +64,9 @@ def component_count(g: Graph, removed: int) -> int:
 
 def complement(g: Graph) -> Graph:
     """G's complement, from every vertex pair that is not an edge."""
+    edges = set(g.edges())
     return Graph.from_edges(g.n, [pair for pair in combinations(range(g.n), 2)
-                                  if not g.has_edge(*pair)])
+                                  if pair not in edges])
 
 
 def prop2_cases(g: Graph, cert: ToughnessCertificate) -> dict[str, bool]:
@@ -91,11 +93,15 @@ def unbalanced_bipartite(g: Graph) -> bool:
         for side in range(1 << g.n))
 
 
+def _complete(g: Graph) -> bool:
+    return g.edge_count == g.n * (g.n - 1) // 2
+
+
 def exhaustive_toughness(g: Graph, cap: int = 9) -> ToughnessCertificate:
     """No-pruning reference search; kept independent of the kernels on purpose."""
     if g.n > cap:
         raise ValueError(f"exhaustive search capped at n={cap}")
-    if g.is_complete() or not g.is_connected():
+    if _complete(g) or component_count(g, 0) != 1:
         raise ValueError("a toughness certificate needs a connected, "
                          "non-complete graph")
     best = None
@@ -119,9 +125,9 @@ def is_r_tough(g: Graph, r: Fraction | int) -> bool:
     r = Fraction(r)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if g.is_complete():
+    if _complete(g):
         return True
-    if not g.is_connected():
+    if component_count(g, 0) != 1:
         return r == 0
     return exhaustive_toughness(g, cap=10).value >= r
 
@@ -141,26 +147,32 @@ def has_hamilton_path(g: Graph) -> bool:
     return any(extend(s, 1 << s) for s in range(g.n))
 
 
-def _perfect_matching_without(g: Graph, removed: int) -> bool:
-    """Relabel G minus ``removed`` as a new graph and ask the edge
-    backtracker for a 1-factor (no bitset matching search involved)."""
-    kept = [v for v in range(g.n) if not removed >> v & 1]
-    index = {v: i for i, v in enumerate(kept)}
-    sub = Graph.from_edges(len(index), [(index[u], index[v])
-                                        for u, v in g.edges()
-                                        if u in index and v in index])
-    return has_factor(sub, 1, 1)
+def perfect_matching_without(g: Graph, removed: int) -> bool:
+    """Whether G minus the ``removed`` bitset has a 1-factor (no bitset
+    matching search involved)."""
+    return _has_1_factor([v for v in range(g.n) if not removed >> v & 1],
+                         set(g.edges()))
+
+
+def _has_1_factor(vertices: list[int], edges: set[tuple[int, int]]) -> bool:
+    """Match the first of the ascending ``vertices`` with each later
+    neighbour in turn, and recurse on the vertices left."""
+    if not vertices:
+        return True
+    v, rest = vertices[0], vertices[1:]
+    return any((v, u) in edges and _has_1_factor(rest[:i] + rest[i + 1:], edges)
+               for i, u in enumerate(rest))
 
 
 def is_1_extendable(g: Graph) -> bool:
     """Every edge uv lies in a perfect matching: G - u - v has one."""
-    return all(_perfect_matching_without(g, (1 << u) | (1 << v))
+    return all(perfect_matching_without(g, (1 << u) | (1 << v))
                for u, v in g.edges())
 
 
 def is_1s_factor_critical(g: Graph, s: int) -> bool:
     """G minus every s-subset of vertices has a perfect matching."""
-    return all(_perfect_matching_without(g, mask_of(combo))
+    return all(perfect_matching_without(g, mask_of(combo))
                for combo in combinations(range(g.n), s))
 
 

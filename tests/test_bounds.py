@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spectough.bounds import _subset_sum_hits, bound_report, detect_prop2_cases
 from spectough.graphs import (complete, complete_multipartite, cycle, gnp,
-                              mask_of, path, petersen)
+                              mask_of, path, petersen, write_graph6)
 from spectough.scan import analyze_graph
 from spectough.spectra import spectrum
 from spectough.toughness import exact_toughness
@@ -23,7 +23,7 @@ class TestBoundReport:
         assert r["bd0"] == pytest.approx(1.0, abs=1e-9)
         assert r["bd1"] == pytest.approx(0.5, abs=1e-9)
         assert r["bd2"] == pytest.approx(2 / 3, abs=1e-9)
-        rec = analyze_graph(g)
+        rec = analyze_graph(g, write_graph6(g))
         assert rec["slack1"] > 0 and rec["slack2"] > 0
 
     def test_petersen_complement(self):
@@ -32,7 +32,7 @@ class TestBoundReport:
         assert r["bd0"] == pytest.approx(2.5, abs=1e-9)
         assert r["bd1"] == pytest.approx(2.0, abs=1e-9)
         assert r["bd2"] == pytest.approx(5 / 3, abs=1e-9)
-        assert analyze_graph(g)["toughness"] == "3"
+        assert analyze_graph(g, write_graph6(g))["toughness"] == "3"
 
     def test_star_all_tight(self):
         g = complete_multipartite([3, 1])
@@ -40,7 +40,7 @@ class TestBoundReport:
         third = 1 / 3
         for name in ("bd0", "bd1", "bd2"):
             assert r[name] == pytest.approx(third, abs=1e-9)
-        rec = analyze_graph(g)
+        rec = analyze_graph(g, write_graph6(g))
         for name in ("slack0", "slack1", "slack2"):
             assert abs(rec[name]) <= 1e-6
 

@@ -39,6 +39,13 @@ class TestPerfectMatching:
         assert verify_guarantee(cycle(18), item, oracle_cap=ORACLE_CAP) is None
         assert verify_guarantee(cycle(18), item, oracle_cap=18) is True
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 4, 6, 8, 10]), p=st.sampled_from([0.3, 0.5, 0.8]),
+           seed=st.integers(0, 2**32))
+    def test_equals_oracle(self, n, p, seed):
+        g = gnp(n, p, seed)
+        assert has_perfect_matching(g) == _oracles.perfect_matching_without(g, 0)
+
 
 class TestSpanningTree:
     def test_star(self):
