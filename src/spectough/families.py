@@ -27,16 +27,18 @@ def _int_range(text: str) -> range:
 
 def generate_family(spec: str, seed: int = 0, count: int = 1) -> Iterator[Graph]:
     """The graphs of one family spec, drawn lazily; a bad spec raises here."""
-    name, _, params = spec.partition(":")
+    name, colon, params = spec.partition(":")
     name = name.strip().lower()
     if name == "petersen":
+        if colon:
+            raise ValueError(f"petersen takes no parameters: {spec!r}")
         return (petersen() for _ in range(1))
     if name in ("complete", "cycle", "path"):
         maker = {"complete": complete, "cycle": cycle, "path": path}[name]
         return map(maker, _int_range(params))
     if name == "complete_multipartite":
         return map(complete_multipartite,
-                   [[int(x) for x in params.split(",") if x.strip()]])
+                   [[int(x) for x in params.split(",")]])
     if name == "kss1":
         return (complete_multipartite([s, s + 1]) for s in _int_range(params))
     if name == "gnp":

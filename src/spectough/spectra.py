@@ -2,18 +2,20 @@
 
 The eigensolver is a plain dense cyclic Jacobi iteration on rows of
 Python floats: at these orders (n <= 62) it is fast enough, bit-for-bit
-portable, and easy to audit.  Each rotation updates rows p and q in
-place, then columns p and q.  Sweeps stop when the off-diagonal
-Frobenius norm drops below 1e-12 times the Frobenius norm of the input
-matrix; both norms are plain left-to-right sums (not the compensated
-``sum()`` of Python 3.12+), so every Python returns the same bits.
+portable, and easy to audit.  It takes only exactly symmetric matrices,
+so each rotation updates rows and columns p and q in one pass.  Sweeps
+stop when the off-diagonal Frobenius norm drops below 1e-12 times the
+Frobenius norm of the input matrix; both norms are plain left-to-right
+sums (not the compensated ``sum()`` of Python 3.12+), so every Python
+returns the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import add, mul
+from itertools import chain
+from operator import add, eq, mul
 from typing import NamedTuple, Sequence
 
 from .errors import EigenConvergenceError
@@ -34,11 +36,11 @@ def laplacian_matrix(g: Graph) -> list[list[float]]:
 
 
 def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
+    """Ascending eigenvalues by cyclic Jacobi rotations, one pass each.
 
-    Raises ValueError unless ``matrix`` is a square, symmetric sequence of
-    rows with a finite Frobenius norm, so finite entries, and
-    EigenConvergenceError if MAX_SWEEPS sweeps do not reach the
+    Raises ValueError unless ``matrix`` is a square sequence of rows with
+    a[i][j] == a[j][i] exactly and a finite Frobenius norm, so finite
+    entries, and EigenConvergenceError if MAX_SWEEPS sweeps do not reach the
     off-diagonal threshold (never silently returns a bad spectrum).
     The caller's matrix is never modified.
     """
@@ -79,23 +81,21 @@ def jacobi_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
                 if abs(apq) <= skip:
                     continue
                 rq = a[q]
-                theta = (rq[q] - rp[p]) / (2.0 * apq)
+                app, aqq = rp[p], rq[q]
+                theta = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (
                     abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                # rows p and q in place first, then columns p and q
-                for k in idx:
-                    x = rp[k]
-                    y = rq[k]
-                    rp[k] = c * x - s * y
-                    rq[k] = s * x + c * y
-                for row in a:
+                # row[p], row[q] equal rp[k], rq[k]; the pass garbles the
+                # 2x2 block, rewritten as a row then a column rotation
+                for k, row in enumerate(a):
                     x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                rp[q] = 0.0
-                rq[p] = 0.0
+                    rp[k] = row[p] = c * x - s * y
+                    rq[k] = row[q] = s * x + c * y
+                rp[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                rq[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                rp[q] = rq[p] = 0.0
     raise EigenConvergenceError(
         f"Jacobi did not converge within {MAX_SWEEPS} sweeps (n={n})")
 
@@ -111,11 +111,8 @@ def _sum_squares(rows: list[list[float]]) -> float:
 
 
 def _symmetric(a: list[list[float]]) -> bool:
-    """numpy.allclose(a, a.T) with its default rtol=1e-5, atol=1e-8."""
-    return all(x == y
-               or (math.isfinite(y) and abs(x - y) <= 1e-8 + 1e-5 * abs(y))
-               for i, row in enumerate(a)
-               for x, y in zip(row, (other[i] for other in a)))
+    """a == a.T by float ``==``, entry for entry: NaN fails, +0.0 == -0.0."""
+    return all(map(eq, chain.from_iterable(a), chain.from_iterable(zip(*a))))
 
 
 class Spectrum(NamedTuple):

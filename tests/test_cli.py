@@ -69,7 +69,9 @@ class TestAnalyze:
 
     def test_bad_input_exits_2(self, capsys):
         for argv in (["~~~"], [">>graph6<<"], ["--family", "cycle:5..3"],
-                     ["--family", "cycle:70"]):
+                     ["--family", "cycle:70"], ["--family", "petersen:7"],
+                     ["--family", "complete_multipartite:3,,4"],
+                     ["--family", "complete_multipartite:3,4,"]):
             proc = run_cli("analyze", *argv)
             assert proc.returncode == 2, argv
             assert proc.stderr.strip(), argv
@@ -462,10 +464,11 @@ def test_full_device_exits_2(tmp_path, argv):
 
 
 # Imports the CLI, then scans at --jobs 1 in the same process, and prints
-# which of the named modules each step loaded.
+# which of the named modules each step loaded: slow stdlib modules, and
+# numpy and networkx, which only the tests use (the runtime is stdlib-only).
 STARTUP_PROBE = textwrap.dedent("""
     import sys
-    heavy = {"csv", "dataclasses", "multiprocessing"}
+    heavy = {"csv", "dataclasses", "multiprocessing", "numpy", "networkx"}
     before = set(sys.modules)
     from spectough.cli import main
     print(sorted(heavy & (set(sys.modules) - before)))
@@ -630,7 +633,12 @@ class TestGen:
     ["hunt", "kss1:2", "dodecahedron", "--jobs", "1"],
     ["hunt", "kss1:2", "missing.g6", "--jobs", "1"],
     ["gen", "dodecahedron"],
-], ids=["hunt", "hunt-missing-corpus", "gen"])
+    ["gen", "petersen", "9"],
+    ["hunt", "petersen:oops", "--jobs", "1"],
+    ["gen", "complete_multipartite", "3,,4"],
+    ["hunt", "complete_multipartite:3,4,", "--jobs", "1"],
+], ids=["hunt", "hunt-missing-corpus", "gen", "gen-petersen-param",
+        "hunt-petersen-param", "gen-empty-part", "hunt-empty-part"])
 def test_bad_spec_keeps_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     kept = tmp_path / "keep"
