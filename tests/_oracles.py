@@ -62,6 +62,16 @@ def component_count(g: Graph, removed: int) -> int:
     return len(components(g, removed))
 
 
+def graph_from_edges(n: int, edges) -> Graph:
+    """The graph on n vertices with the given (u, v) edges, each folded
+    into both rows and checked by ``Graph.from_adj_masks``."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph.from_adj_masks(rows)
+
+
 def complement(g: Graph) -> Graph:
     """G's complement, from every vertex pair that is not an edge."""
     edges = set(g.edges())

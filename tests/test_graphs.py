@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,7 +13,8 @@ from spectough.families import generate_family
 from spectough.graphs import (Graph, complete, complete_multipartite, cycle,
                               gnp, mask_of, parse_graph6, path, petersen,
                               reach, write_graph6)
-from tests._oracles import complement, component_count, components
+from tests._oracles import (complement, component_count, components,
+                            graph_from_edges)
 
 GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
 
@@ -183,6 +185,36 @@ class TestGenerators:
         for n, p in ((5, 1.5), (0, 0.5), (63, 0.5)):
             with pytest.raises(ValueError):
                 gnp(n, p, 0)
+
+    def test_complete_path_cycle_match_edge_lists(self):
+        for n in range(1, 63):
+            assert complete(n) == graph_from_edges(n, combinations(range(n), 2))
+            assert path(n) == graph_from_edges(
+                n, [(i, i + 1) for i in range(n - 1)])
+            if n >= 3:
+                assert cycle(n) == graph_from_edges(
+                    n, [(i, (i + 1) % n) for i in range(n)])
+
+    def test_complete_multipartite_matches_edge_list(self):
+        def by_edges(sizes):
+            part = [i for i, s in enumerate(sizes) for _ in range(s)]
+            return graph_from_edges(len(part), [
+                (u, v) for u, v in combinations(range(len(part)), 2)
+                if part[u] != part[v]])
+
+        # every ordered part list with n <= 12, then every kss1 graph
+        lists = [[b - a for a, b in zip((0, *cuts), (*cuts, n))]
+                 for n in range(1, 13) for k in range(n)
+                 for cuts in combinations(range(1, n), k)]
+        lists += [[s, s + 1] for s in range(1, 31)]
+        for sizes in lists:
+            assert complete_multipartite(sizes) == by_edges(sizes), sizes
+
+    def test_petersen_matches_edge_list(self):
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        edges += [(i, i + 5) for i in range(5)]
+        assert petersen() == graph_from_edges(10, edges)
 
     def test_gnp_deterministic(self):
         assert gnp(12, 0.5, 99) == gnp(12, 0.5, 99)
