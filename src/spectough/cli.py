@@ -150,15 +150,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         if args.family:
-            g = next(generate_family(args.family, seed=args.seed), None)
-            if g is None:
-                raise ValueError(f"family spec {args.family!r} yields no graph")
+            graphs = list(generate_family(args.family, seed=args.seed))
+            if len(graphs) != 1:
+                raise ValueError(f"family spec {args.family!r} yields "
+                                 f"{len(graphs)} graphs")
+            g, = graphs
         else:
             g = parse_graph6(args.graph6)
-        g6 = write_graph6(g)  # n > 62 is bad input, not an internal error
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    g6 = write_graph6(g)
     counts: dict[str, int] = {}
     rec = scanmod.analyze_graph(g, g6, config=_config(args))
     for rec in _reported("analyze", [rec], counts):
@@ -287,30 +289,26 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     counts: dict[str, int] = {}
     with contextlib.ExitStack() as stack:
+        # every input before --output, which a bad input must not truncate
+        sources = []
         try:
-            # every input first: a bad spec or a missing corpus must not
-            # truncate --output
-            sources = []
             for spec, path in zip(args.specs, paths):
                 if path is not None:
                     sources.append(stack.enter_context(_open_corpus(path)))
                 else:
                     sources.append(map(write_graph6, generate_family(
                         spec, seed=args.seed, count=args.count)))
-            out = (stack.enter_context(open(args.output, "w"))
-                   if args.output else sys.stdout)
-            lines = itertools.islice(
-                read_graph6_lines(itertools.chain(*sources)), args.budget)
-            records = scanmod.scan_lines(lines, config=_config(args),
-                                         jobs=args.jobs)
-            findings = scanmod.hunt(_reported("hunt", records, counts),
-                                    cap_oracle=args.cap_oracle)
-        except ValueError as exc:
-            # scan_line turns every per-graph fault into a record, so this
-            # is a bad spec: an unknown family, or a family parameter that
-            # fails when a graph is drawn.  main reports OS errors.
+        except ValueError as exc:  # a bad family spec; main reports OS errors
             print(f"hunt: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        out = (stack.enter_context(open(args.output, "w"))
+               if args.output else sys.stdout)
+        lines = itertools.islice(
+            read_graph6_lines(itertools.chain(*sources)), args.budget)
+        records = scanmod.scan_lines(lines, config=_config(args),
+                                     jobs=args.jobs)
+        findings = scanmod.hunt(_reported("hunt", records, counts),
+                                cap_oracle=args.cap_oracle)
         print(json.dumps(findings, indent=2), file=out)
     return _exit_code("hunt", counts, args.findings_ok)
 
@@ -319,16 +317,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     spec = args.family
     if args.params:
         spec += ":" + ",".join(args.params)
-    with contextlib.ExitStack() as stack:
-        try:
-            graphs = generate_family(spec, seed=args.seed, count=args.count)
-            out = (stack.enter_context(open(args.output, "w"))
-                   if args.output else sys.stdout)
-            for g in graphs:
-                out.write(write_graph6(g) + "\n")
-        except ValueError as exc:
-            print(f"gen: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        graphs = generate_family(spec, seed=args.seed, count=args.count)
+    except ValueError as exc:
+        print(f"gen: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with (open(args.output, "w") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for g in graphs:
+            out.write(write_graph6(g) + "\n")
     return EXIT_OK
 
 

@@ -11,8 +11,8 @@ offset by 63, zero-padded at the end.  Corpus files hold one graph6
 string per line; lines starting with '#' are comments.
 
 G(n, p) draws its rows in the kernel library when it is built, and in
-the pure-Python reference otherwise, with identical results; gnp takes
-n <= 62, the graph6 limit that every consumer needs anyway.
+the pure-Python reference otherwise, with identical results.  Each
+generator checks n <= 62, the graph6 limit, before it builds a row.
 
 The package's records (Graph here, Spectrum, ToughnessCertificate,
 Guarantee and ScanConfig) are typing.NamedTuples: immutable, picklable by
@@ -79,18 +79,6 @@ class Graph(NamedTuple):
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
             total += row.bit_count()
         return cls(n=n, adj=tuple(masks), edge_count=total // 2)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        masks = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls.from_adj_masks(masks)
 
     @property
     def full_mask(self) -> int:
@@ -190,43 +178,43 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete(n) needs n >= 1")
-    full = (1 << n) - 1
-    return Graph.from_adj_masks([full & ~(1 << v) for v in range(n)])
+    if not 1 <= n <= GRAPH6_MAX_N:
+        raise ValueError(f"complete(n) needs 1 <= n <= {GRAPH6_MAX_N}")
+    return complete_multipartite([1] * n)
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle(n) needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if not 3 <= n <= GRAPH6_MAX_N:
+        raise ValueError(f"cycle(n) needs 3 <= n <= {GRAPH6_MAX_N}")
+    return Graph.from_adj_masks([1 << (v - 1) % n | 1 << (v + 1) % n
+                                 for v in range(n)])
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path(n) needs n >= 1")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    if not 1 <= n <= GRAPH6_MAX_N:
+        raise ValueError(f"path(n) needs 1 <= n <= {GRAPH6_MAX_N}")
+    return Graph.from_adj_masks([(1 << v >> 1 | 1 << v + 1) & (1 << n) - 1
+                                 for v in range(n)])
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
     """K_{n1,...,nm}; parts are consecutive label blocks in the given order."""
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be positive")
-    n = sum(sizes)
-    part = []
-    for idx, s in enumerate(sizes):
-        part.extend([idx] * s)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if part[u] != part[v]]
-    return Graph.from_edges(n, edges)
+    if not sizes or min(sizes) < 1 or sum(sizes) > GRAPH6_MAX_N:
+        raise ValueError("complete_multipartite(sizes) needs sizes >= 1 "
+                         f"and sum(sizes) <= {GRAPH6_MAX_N}")
+    full = (1 << sum(sizes)) - 1
+    rows: list[int] = []
+    for s in sizes:  # each vertex of a part is adjacent to all the others
+        rows += [full ^ ((1 << s) - 1) << len(rows)] * s
+    return Graph.from_adj_masks(rows)
 
 
 def petersen() -> Graph:
     """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5."""
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return Graph.from_edges(10, edges)
+    outer = [1 << (i - 1) % 5 | 1 << (i + 1) % 5 | 1 << i + 5 for i in range(5)]
+    inner = [(1 << (i - 2) % 5 | 1 << (i + 2) % 5) << 5 | 1 << i
+             for i in range(5)]
+    return Graph.from_adj_masks(outer + inner)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -236,8 +224,13 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     the edge is present iff the word is below floor(p * 2^64).  The seed
     is taken modulo 2^64.
     """
+    check_gnp(n, p)
+    return Graph.from_adj_masks(_kernels.gnp_rows(n, p, seed))
+
+
+def check_gnp(n: int, p: float) -> None:
+    """Raise ValueError unless gnp can draw G(n, p)."""
     if not 1 <= n <= GRAPH6_MAX_N:
         raise ValueError(f"gnp(n) needs 1 <= n <= {GRAPH6_MAX_N}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("gnp probability must be in [0, 1]")
-    return Graph.from_adj_masks(_kernels.gnp_rows(n, p, seed))

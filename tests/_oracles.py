@@ -75,7 +75,7 @@ def graph_from_edges(n: int, edges) -> Graph:
 def complement(g: Graph) -> Graph:
     """G's complement, from every vertex pair that is not an edge."""
     edges = set(g.edges())
-    return Graph.from_edges(g.n, [pair for pair in combinations(range(g.n), 2)
+    return graph_from_edges(g.n, [pair for pair in combinations(range(g.n), 2)
                                   if pair not in edges])
 
 

@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import selectors
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,7 @@ from spectough import cli, scan, structures
 from spectough.cli import main
 from spectough.graphs import parse_graph6
 from spectough.scan import CSV_COLUMNS, ScanConfig, scan_lines
-from tests.conftest import CLI_ENV
+from tests.conftest import CLI_ENV, ROOT
 
 # Runs argv[1:] and prints its exit code and peak RSS in KiB.  A process
 # inherits the high-water RSS of the one that forked it, so the CLI is
@@ -79,7 +80,12 @@ class TestAnalyze:
         # a family graph too large to encode is bad input, not a crash
         assert main(["analyze", "--family", "cycle:70"]) == 2
         assert capsys.readouterr().err == (
-            "analyze: order 70 exceeds the short-form limit 62\n")
+            "analyze: family spec 'cycle:70': cycle(n) needs 3 <= n <= 62\n")
+        # analyze reports one graph, so a spec must yield exactly one
+        for spec, count in (("kss1:2..6", 5), ("cycle:3..5", 3)):
+            assert main(["analyze", "--family", spec]) == 2
+            assert capsys.readouterr().err == (
+                f"analyze: family spec '{spec}' yields {count} graphs\n")
 
     def test_both_inputs_is_usage_error(self):
         proc = run_cli("analyze", "Bw", "--family", "petersen")
@@ -595,10 +601,9 @@ class TestHunt:
         assert calls == []
 
     def test_draw_failure_exits_2_in_parallel(self, capsys):
-        # gnp:10,1.5 fails only when its first graph is drawn.  The scan
-        # reads the first two lines in this process (it analyzes one and
-        # checks that a pool is needed), so here the failing draw comes
-        # third, in the thread that feeds the worker pool.
+        # gnp:10,1.5 is rejected when its spec is checked, before --output
+        # is opened, any graph is drawn or a worker pool starts, although
+        # it comes after a good spec and would be drawn third.
         assert main(["hunt", "kss1:2..3", "gnp:10,1.5", "--jobs", "2"]) == 2
         assert capsys.readouterr().err.startswith("hunt: ")
 
@@ -627,8 +632,9 @@ class TestGen:
         assert proc.returncode == 2
 
 
-# hunt and gen read every spec before they open --output, so a typo in
-# a spec leaves an existing file as it was.
+# hunt and gen check every spec whole before they open --output, so a
+# typo, an order or probability out of range or an empty range leaves an
+# existing file as it was.
 @pytest.mark.parametrize("argv", [
     ["hunt", "kss1:2", "dodecahedron", "--jobs", "1"],
     ["hunt", "kss1:2", "missing.g6", "--jobs", "1"],
@@ -637,14 +643,38 @@ class TestGen:
     ["hunt", "petersen:oops", "--jobs", "1"],
     ["gen", "complete_multipartite", "3,,4"],
     ["hunt", "complete_multipartite:3,4,", "--jobs", "1"],
+    ["gen", "gnp", "10", "1.5"],
+    ["gen", "cycle", "2..4"],
+    ["hunt", "gnp:10,1.5", "--jobs", "1"],
+    ["hunt", "cycle:2", "--jobs", "1"],
+    ["gen", "kss1", "5..3"],
+    ["hunt", "kss1:5..3", "--jobs", "1"],
 ], ids=["hunt", "hunt-missing-corpus", "gen", "gen-petersen-param",
-        "hunt-petersen-param", "gen-empty-part", "hunt-empty-part"])
+        "hunt-petersen-param", "gen-empty-part", "hunt-empty-part",
+        "gen-gnp-p", "gen-cycle-order", "hunt-gnp-p", "hunt-cycle-order",
+        "gen-empty-range", "hunt-empty-range"])
 def test_bad_spec_keeps_output(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     kept = tmp_path / "keep"
     kept.write_bytes(b"earlier output\n")
     assert main([*argv, "--output", str(kept)]) == 2
     assert kept.read_bytes() == b"earlier output\n"
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argv of each command line in README's CLI block but scan's,
+    which reads a corpus file."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        block = f.read().split("## CLI\n", 1)[1].split("```\n")[1]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.splitlines()]
+    return [argv for argv in commands if argv[0] != "scan"]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_exits_0(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -75,7 +75,7 @@ class TestGraph6Write:
         assert write_graph6(g) == expect
 
     def test_write_cap(self):
-        big = Graph.from_edges(63, [(0, 1)])
+        big = graph_from_edges(63, [(0, 1)])
         with pytest.raises(Graph6Error):
             write_graph6(big)
 
@@ -90,7 +90,7 @@ class TestGraph6Write:
 class TestGraphInvariants:
     def test_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
-            Graph.from_edges(2, [(0, 0)])
+            Graph.from_adj_masks([0b01, 0b00])
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="asymmetric"):
@@ -182,6 +182,12 @@ class TestGenerators:
             complete_multipartite([2, 0])
         with pytest.raises(ValueError):
             cycle(2)
+        # every order above the graph6 limit fails before a row is built
+        for maker, n in product((complete, cycle, path), (63, 3000)):
+            with pytest.raises(ValueError, match="<= 62"):
+                maker(n)
+        with pytest.raises(ValueError, match="<= 62"):
+            complete_multipartite([31, 32])
         for n, p in ((5, 1.5), (0, 0.5), (63, 0.5)):
             with pytest.raises(ValueError):
                 gnp(n, p, 0)
@@ -220,19 +226,23 @@ class TestGenerators:
         assert gnp(12, 0.5, 99) == gnp(12, 0.5, 99)
         assert gnp(12, 0.5, 99) != gnp(12, 0.5, 100)
 
-    @pytest.mark.parametrize("spec,first", [
-        ("cycle:3..1000000", cycle(3)),
-        ("kss1:1..1000000", complete_multipartite([1, 2]))])
-    def test_family_range_is_lazy(self, spec, first):
-        # a range of a million orders must not be built before the first draw
+    @pytest.mark.parametrize("spec,first_bad", [
+        ("cycle:3..1000000", "cycle(n) needs 3 <= n <= 62"),
+        ("kss1:1..1000000",
+         "complete_multipartite(sizes) needs sizes >= 1 and sum(sizes) <= 62"),
+    ], ids=["cycle", "kss1"])
+    def test_family_range_past_62_fails_at_once(self, spec, first_bad):
+        # a range of a million orders fails at its first order above 62,
+        # without building the rest of the range
         tracemalloc.start()
         try:
-            graphs = generate_family(spec)
+            with pytest.raises(ValueError) as info:
+                generate_family(spec)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held < 1 << 20
-        assert next(graphs) == first
+        assert str(info.value) == f"family spec {spec!r}: {first_bad}"
 
 
 # gnp(n, p, seed) as graph6, recorded before G(n, p) moved into the kernel
