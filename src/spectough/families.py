@@ -9,8 +9,8 @@ Grammar (params after a colon):
     kss1:S            (complete bipartite with parts S and S+1; S may be A..B)
 
 Every family is limited to order 62, and a range must not be empty.  A
-spec is checked whole before anything is drawn or opened, its errors name
-it, and ``analyze --family`` takes only a spec that yields one graph.
+spec is checked whole before a caller opens an output or draws a graph;
+its errors name it.  ``analyze --family`` takes a spec of one graph.
 """
 
 from __future__ import annotations

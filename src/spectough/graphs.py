@@ -204,7 +204,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
                          f"and sum(sizes) <= {GRAPH6_MAX_N}")
     full = (1 << sum(sizes)) - 1
     rows: list[int] = []
-    for s in sizes:  # each vertex of a part is adjacent to all the others
+    for s in sizes:  # a vertex is adjacent to every vertex outside its part
         rows += [full ^ ((1 << s) - 1) << len(rows)] * s
     return Graph.from_adj_masks(rows)
 
